@@ -8,7 +8,6 @@ package streamgpp_test
 
 import (
 	"io"
-	"os"
 	"testing"
 
 	"streamgpp/internal/apps/cdp"
@@ -25,26 +24,6 @@ import (
 	"streamgpp/internal/svm"
 )
 
-// reportCoverage re-runs the workload once, untimed, with a metrics
-// registry attached, and reports the stream run's fast-path coverage %
-// (what fraction of bulk accesses the simulator's fast path served).
-// The timed iterations run observer-free so the instrumentation cannot
-// distort ns/op; the extra run is deterministic, so its coverage is
-// exactly the timed runs' coverage.
-func reportCoverage(b *testing.B, fn func() error) {
-	b.Helper()
-	b.StopTimer()
-	defer b.StartTimer()
-	reg := obs.NewRegistry()
-	sim.SetDefaultObserver(reg)
-	defer sim.SetDefaultObserver(nil)
-	if err := fn(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(reg.Gauge("coverage.fastpath_pct").Value(), "fastpath-cov-pct")
-	reportRuntime(b)
-}
-
 // reportRuntime samples the Go runtime after the timed iterations and
 // reports the simulator process's memory footprint and GC behaviour:
 // live heap bytes and the p99 GC stop-the-world pause. bench.sh folds
@@ -52,21 +31,13 @@ func reportCoverage(b *testing.B, fn func() error) {
 // the simulator show up in the same ledger as wall-clock regressions.
 func reportRuntime(b *testing.B) {
 	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
 	reg := obs.NewRegistry()
 	rc := obs.NewRuntimeCollector(reg)
 	rc.Collect()
 	b.ReportMetric(reg.Gauge("go.heap.inuse_bytes").Value(), "heap-inuse-bytes")
 	b.ReportMetric(reg.Histogram("go.gc.pause_us").Quantile(0.99)*1e3, "gc-pause-p99-ns")
-}
-
-// TestMain lets the wall-clock benchmarks measure the simulator with
-// its bulk fast path disabled (STREAMGPP_FASTPATH=off), so before/after
-// comparisons run the same binary on the same machine.
-func TestMain(m *testing.M) {
-	if os.Getenv("STREAMGPP_FASTPATH") == "off" {
-		sim.SetDefaultFastPath(false)
-	}
-	os.Exit(m.Run())
 }
 
 // BenchmarkFig5Bandwidth sweeps the Fig. 5 gather/scatter bandwidth
@@ -115,10 +86,7 @@ func benchMicro(b *testing.B, run func(micro.Params, exec.Config) (micro.Result,
 	}
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
-	reportCoverage(b, func() error {
-		_, err := run(micro.Params{N: 100000, Comp: comp, Seed: 9}, exec.Defaults())
-		return err
-	})
+	reportRuntime(b)
 }
 
 // BenchmarkFig9* sweep the three micro-benchmarks at the knee points of
@@ -144,10 +112,7 @@ func benchFEM(b *testing.B, p fem.Params) {
 	}
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
-	reportCoverage(b, func() error {
-		_, err := fem.Run(p, exec.Defaults())
-		return err
-	})
+	reportRuntime(b)
 }
 
 func BenchmarkFig11aFEMEulerLin(b *testing.B)  { benchFEM(b, fem.EulerLin) }
@@ -169,10 +134,7 @@ func benchCDP(b *testing.B, p cdp.Params) {
 	}
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
-	reportCoverage(b, func() error {
-		_, err := cdp.Run(p, exec.Defaults())
-		return err
-	})
+	reportRuntime(b)
 }
 
 func BenchmarkFig11bCDP4n4096(b *testing.B) { benchCDP(b, cdp.Grid4n4096) }
@@ -193,10 +155,7 @@ func BenchmarkFig11cNeo(b *testing.B) {
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.SavedBytes), "saved-bytes")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
-	reportCoverage(b, func() error {
-		_, err := neo.Run(neo.Params{Elements: 32768, Seed: 11}, exec.Defaults())
-		return err
-	})
+	reportRuntime(b)
 }
 
 // BenchmarkFig11dSPAS* run the SpMV comparison at a cache-resident and
@@ -213,10 +172,7 @@ func benchSPAS(b *testing.B, rows int) {
 	}
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
-	reportCoverage(b, func() error {
-		_, err := spas.Run(spas.Params{Rows: rows, NNZPerRow: spas.PaperNNZPerRow, Seed: 13}, exec.Defaults())
-		return err
-	})
+	reportRuntime(b)
 }
 
 func BenchmarkFig11dSPASSmall(b *testing.B) { benchSPAS(b, 2000) }

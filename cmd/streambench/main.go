@@ -45,7 +45,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	faultSpec := flag.String("fault", "", "fault injection spec: kind:rate[,kind:rate...] or all:rate")
 	faultSeed := flag.Uint64("faultseed", 1, "fault schedule seed (same seed replays the identical fault trace)")
-	nofast := flag.Bool("nofast", false, "disable the bulk fast path (reference timing path; much slower)")
 	ledgerPath := flag.String("ledger", "", "append one run-ledger JSONL entry per experiment to this file")
 	compare := flag.String("compare", "", "baseline run-ledger JSONL: gate this run's wall-clock against it (exit 3 on regression)")
 	repeat := flag.Int("repeat", 3, "timed repetitions per experiment in -ledger/-compare mode")
@@ -97,10 +96,6 @@ func main() {
 
 	if *parallel > 0 {
 		bench.Parallelism = *parallel
-	}
-	if *nofast {
-		sim.SetDefaultFastPath(false)
-		defer sim.SetDefaultFastPath(true)
 	}
 
 	// Fault injection arms a per-row injector in the bench runner: every
@@ -217,7 +212,6 @@ func runWhatIf(spec string, quick bool, ledgerPath, commit, machineDesc string, 
 				Config:     machineDesc,
 				ConfigHash: obs.Hash(machineDesc, fmt.Sprintf("quick=%v", quick), r.Scenario),
 				Commit:     commit,
-				FastPath:   sim.DefaultFastPath(),
 				Quick:      quick,
 				WallNs:     wall,
 				SimCycles:  r.Empirical,
@@ -335,7 +329,6 @@ func runMeasured(o measureOpts) {
 				Config:     o.machineDesc,
 				ConfigHash: obs.Hash(o.machineDesc, fmt.Sprintf("quick=%v", o.quick)),
 				Commit:     o.commit,
-				FastPath:   sim.DefaultFastPath(),
 				Quick:      o.quick,
 				Parallel:   bench.Parallelism,
 				WallNs:     wall,

@@ -77,7 +77,7 @@ func printEvents(w io.Writer, path string) error {
 }
 
 // printTrend rolls a run ledger up into per-experiment trend rows —
-// wall time, simulated throughput and fast-path coverage against
+// wall time and simulated throughput against
 // their run history — flagging the latest run when it sits outside
 // the same robust band CompareLedgers uses (MAD-scaled, with a
 // relative floor so quiet histories don't alarm on noise).
@@ -173,9 +173,7 @@ func main() {
 	jsonOut := flag.Bool("json", false,
 		"emit one machine-readable JSON object (stall report + critical-path summary, ledger flatten conventions) instead of the text report")
 	covflag := flag.Bool("coverage", false,
-		"report fast-path coverage (which accesses the bulk fast path served, and why the rest bailed) and per-level bandwidth attribution")
-	topbails := flag.Int("topbails", 0,
-		"with -coverage, also rank the top N bail reasons by estimated lost cycles (bails × mean per-access cost)")
+		"report the svm layer's sequential/indexed element split per array and per-level bandwidth attribution")
 	eventsPath := flag.String("events", "",
 		"pretty-print the streamd job lifecycle event log (JSONL) at this path and exit")
 	trendPath := flag.String("trend", "",
@@ -347,14 +345,9 @@ func main() {
 
 	flat := obs.FlattenSnapshot(reg.Snapshot())
 	var cov *covreport.Report
-	if *covflag || *jsonOut || *topbails > 0 {
+	if *covflag || *jsonOut {
 		c := covreport.New(flat, stream.Cycles, sim.PentiumD8300())
 		cov = &c
-		if cpath != nil && cov.DominantBail != "" {
-			// Dep-wait segments name why the work they waited on was
-			// slow, in both the text report and the Perfetto export.
-			cpath.AnnotateDepWaits(cov.DominantBail)
-		}
 	}
 
 	if *jsonOut {
@@ -420,11 +413,8 @@ func main() {
 		}
 
 		if cov != nil {
-			fmt.Println("Fast-path coverage and bandwidth (stream run):")
+			fmt.Println("Traffic and bandwidth (stream run):")
 			cov.Render(os.Stdout)
-			if *topbails > 0 {
-				cov.RenderTopBails(os.Stdout, *topbails)
-			}
 			fmt.Println()
 		}
 
@@ -458,7 +448,6 @@ func main() {
 			Experiment: "streamtrace/" + *app,
 			Config:     fmt.Sprintf("n=%d comp=%d seed=%d nodouble=%v", *n, *comp, *seed, *nodouble),
 			ConfigHash: obs.Hash(fmt.Sprintf("%d/%d/%d/%v", *n, *comp, *seed, *nodouble)),
-			FastPath:   sim.DefaultFastPath(),
 			WallNs:     wallNs,
 			SimCycles:  simCycles,
 			Metrics:    mergeMetrics(obs.FlattenSnapshot(reg.Snapshot()), cpath.Flatten()),

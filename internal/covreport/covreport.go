@@ -1,13 +1,11 @@
-// Package covreport builds the fast-path coverage report: why the
-// simulator's bulk fast path did or did not serve each access
-// (sim/coverage.go's bail taxonomy), and where the run's memory
-// traffic went per level (obs.BandwidthReport). The report is a pure
-// function of a flattened metrics map, the stream run's cycles and the
-// machine configuration, so the same builder serves streamtrace's
-// -coverage text/JSON views, streamd's per-job coverage downloads and
-// tests — and can re-derive a report from a ledger entry's Metrics
-// after the fact. (It lives outside internal/obs because it needs the
-// sim bail taxonomy, and sim already imports obs.)
+// Package covreport builds the run's traffic report: how the svm
+// layer's bulk elements split between sequential and indexed access,
+// per operation and per array, and where the run's memory traffic went
+// per level (obs.BandwidthReport). The report is a pure function of a
+// flattened metrics map, the stream run's cycles and the machine
+// configuration, so the same builder serves streamtrace's -coverage
+// text/JSON views, streamd's per-job coverage downloads and tests — and
+// can re-derive a report from a ledger entry's Metrics after the fact.
 package covreport
 
 import (
@@ -20,31 +18,14 @@ import (
 	"streamgpp/internal/sim"
 )
 
-// Report is the coverage report object (streamtrace's -coverage JSON,
+// Report is the traffic report object (streamtrace's -coverage JSON,
 // streamd's /jobs/{id}/coverage body). All counter-valued fields are
 // float64 because they come from the flattened gauge map.
 type Report struct {
-	FastAccesses float64 `json:"fast_accesses"`
-	SlowAccesses float64 `json:"slow_accesses"`
-	FastPct      float64 `json:"fastpath_pct"`
-	BatchedIters float64 `json:"batched_iters"`
-	// Bails maps every bail reason (always all of them, so the schema
-	// is fixed) to its event count.
-	Bails map[string]float64 `json:"bails"`
-	// DominantBail names the largest bail counter, "" when no bails.
-	DominantBail string `json:"dominant_bail,omitempty"`
 	// SeqElems/IndexedElems split the svm layer's gather+scatter
-	// elements by access pattern; RunElems counts the indexed elements
-	// the run coalescer lowered to AccessBulk (constant-delta index
-	// runs), a subset of IndexedElems.
+	// elements by access pattern.
 	SeqElems     float64 `json:"seq_elems"`
 	IndexedElems float64 `json:"indexed_elems"`
-	RunElems     float64 `json:"run_elems"`
-	// TopBails ranks the nonzero bail reasons by estimated lost cycles
-	// (count × mean per-access occupied cycles), so the next
-	// optimization target reads directly off the report. The -topbails
-	// flag selects how many the text view prints.
-	TopBails []BailCost `json:"top_bails"`
 	// Arrays lists per-array traffic, heaviest first.
 	Arrays []Array `json:"arrays,omitempty"`
 	// Bandwidth is the per-level traffic and roofline summary.
@@ -58,74 +39,16 @@ type Array struct {
 	IndexedElems float64 `json:"indexed_elems"`
 }
 
-// BailCost is one bail reason's estimated optimization value: how many
-// simulated cycles the accesses behind its events cost on the slow
-// path. The estimate charges every event the run's mean per-access
-// occupied cycles — coarse (a window_full event stands for a whole
-// declined batch, an indexed event for one access), but it correctly
-// separates millions of cheap L1-hit bails from thousands of
-// DRAM-bound ones, which a raw count cannot.
-type BailCost struct {
-	Reason     string  `json:"reason"`
-	Count      float64 `json:"count"`
-	LostCycles float64 `json:"est_lost_cycles"`
-}
-
-// rankBails builds the lost-cycles ranking from the bail counters and
-// the run's mean per-access occupied cycles.
-func rankBails(bails map[string]float64, bw obs.BandwidthReport, accesses float64) []BailCost {
-	perAccess := 0.0
-	if accesses > 0 {
-		occ := bw.TLBWalkCycles
-		for _, row := range bw.Levels {
-			occ += row.OccCycles
-		}
-		perAccess = occ / accesses
-	}
-	var out []BailCost
-	for _, r := range sim.BailReasons() {
-		if v := bails[r.String()]; v > 0 {
-			out = append(out, BailCost{Reason: r.String(), Count: v, LostCycles: v * perAccess})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].LostCycles > out[j].LostCycles })
-	return out
-}
-
-// dominantBail returns the largest bail counter's reason name, with
-// ties going to the earlier reason in declaration order ("" when every
-// counter is zero).
-func dominantBail(bails map[string]float64) string {
-	best, bestV := "", 0.0
-	for _, r := range sim.BailReasons() {
-		if v := bails[r.String()]; v > bestV {
-			best, bestV = r.String(), v
-		}
-	}
-	return best
-}
-
 // New derives the report from a flattened metrics map
 // (obs.FlattenSnapshot of the run's registry), the stream run's total
 // cycles and the machine configuration (for the roofline peak).
 func New(metrics map[string]float64, streamCycles uint64, cfg sim.Config) Report {
 	rep := Report{
-		FastAccesses: metrics["coverage.fast_accesses"],
-		SlowAccesses: metrics["coverage.slow_accesses"],
-		FastPct:      metrics["coverage.fastpath_pct"],
-		BatchedIters: metrics["coverage.batched_iters"],
-		Bails:        map[string]float64{},
 		SeqElems:     metrics["svm.gather.seq_elems"] + metrics["svm.scatter.seq_elems"],
 		IndexedElems: metrics["svm.gather.indexed_elems"] + metrics["svm.scatter.indexed_elems"],
-		RunElems:     metrics["svm.gather.run_elems"] + metrics["svm.scatter.run_elems"],
 		Bandwidth: obs.NewBandwidthReport(metrics, streamCycles,
 			cfg.BusBytesPerCycle*cfg.BusEff),
 	}
-	for _, r := range sim.BailReasons() {
-		rep.Bails[r.String()] = metrics["coverage.bail."+r.String()]
-	}
-	rep.DominantBail = dominantBail(rep.Bails)
-	rep.TopBails = rankBails(rep.Bails, rep.Bandwidth, rep.FastAccesses+rep.SlowAccesses)
 	for key, v := range metrics {
 		name, ok := strings.CutPrefix(key, "coverage.array.")
 		if !ok {
@@ -150,35 +73,10 @@ func New(metrics map[string]float64, streamCycles uint64, cfg sim.Config) Report
 	return rep
 }
 
-// Render writes the human-readable coverage report.
+// Render writes the human-readable traffic report.
 func (r Report) Render(w io.Writer) {
-	total := r.FastAccesses + r.SlowAccesses
-	fmt.Fprintf(w, "  fast path served %.0f of %.0f accesses (%.1f%%), %.0f batched iterations\n",
-		r.FastAccesses, total, r.FastPct, r.BatchedIters)
 	if r.SeqElems+r.IndexedElems > 0 {
-		frac := 0.0
-		if r.IndexedElems > 0 {
-			frac = 100 * r.RunElems / r.IndexedElems
-		}
-		fmt.Fprintf(w, "  bulk elements: %.0f sequential, %.0f indexed (%.1f%% coalesced into runs)\n",
-			r.SeqElems, r.IndexedElems, frac)
-	}
-	fmt.Fprintln(w, "  bail reasons (why accesses fell off the fast path):")
-	for _, reason := range sim.BailReasons() {
-		v := r.Bails[reason.String()]
-		if v == 0 {
-			continue
-		}
-		mark := " "
-		if reason.String() == r.DominantBail {
-			mark = "*"
-		}
-		fmt.Fprintf(w, "   %s %-14s %12.0f\n", mark, reason.String(), v)
-	}
-	if r.DominantBail == "" {
-		fmt.Fprintln(w, "    (none)")
-	} else {
-		fmt.Fprintf(w, "  dominant bail: %s\n", r.DominantBail)
+		fmt.Fprintf(w, "  bulk elements: %.0f sequential, %.0f indexed\n", r.SeqElems, r.IndexedElems)
 	}
 	if len(r.Arrays) > 0 {
 		fmt.Fprintln(w, "  per-array elements (indexed fraction):")
@@ -192,20 +90,4 @@ func (r Report) Render(w io.Writer) {
 	}
 	fmt.Fprintln(w, "  bandwidth by level:")
 	r.Bandwidth.Render(w)
-}
-
-// RenderTopBails writes the -topbails view: the top n bail reasons
-// ranked by estimated lost cycles rather than raw counts.
-func (r Report) RenderTopBails(w io.Writer, n int) {
-	fmt.Fprintln(w, "  top bails by estimated lost cycles (events × mean per-access occupied cycles):")
-	if len(r.TopBails) == 0 {
-		fmt.Fprintln(w, "    (none)")
-		return
-	}
-	for i, b := range r.TopBails {
-		if i >= n {
-			break
-		}
-		fmt.Fprintf(w, "    %-14s %14.0f events  ~%14.0f cycles\n", b.Reason, b.Count, b.LostCycles)
-	}
 }

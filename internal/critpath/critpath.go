@@ -78,12 +78,6 @@ type Segment struct {
 	Phase  int
 	Start  uint64
 	End    uint64
-	// Note is an optional diagnosis annotation carried into the render
-	// and Perfetto export — the coverage profiler tags dep-wait segments
-	// with the run's dominant fast-path bail reason, so a viewer sees
-	// not just that the path stalled but why the stalled-on work was
-	// slow (see AnnotateDepWaits).
-	Note string
 }
 
 // Cycles returns the segment's length.
@@ -347,18 +341,6 @@ func (g *Graph) CriticalPath() *Path {
 	p.Segments = segs
 	p.Length = p.End - p.Start
 	return p
-}
-
-// AnnotateDepWaits tags every dependency-wait segment with the given
-// note — typically the run's dominant fast-path bail reason from the
-// coverage profiler, naming why the work the path waited on was slow.
-// An empty note clears the annotations.
-func (p *Path) AnnotateDepWaits(note string) {
-	for i := range p.Segments {
-		if p.Segments[i].Kind == SegDepWait {
-			p.Segments[i].Note = note
-		}
-	}
 }
 
 // ByKind sums path cycles per segment kind.

@@ -27,9 +27,6 @@ func (p *Path) Spans(track int) []obs.Span {
 		case SegDepWait, SegQueueWait, SegRecovery:
 			name = s.Kind.String() + " (" + s.Task + ")"
 		}
-		if s.Note != "" {
-			name += " [" + s.Note + "]"
-		}
 		spans = append(spans, obs.Span{
 			Name:  name,
 			Cat:   "critpath-" + s.Kind.String(),
@@ -113,12 +110,8 @@ func (p *Path) Render(w io.Writer, topk int) {
 		}
 		fmt.Fprintf(w, "  top %d segments:\n", topk)
 		for _, s := range segs[:topk] {
-			fmt.Fprintf(w, "    %-10s %-20s ctx%d phase%d [%d, %d) %10d cycles",
+			fmt.Fprintf(w, "    %-10s %-20s ctx%d phase%d [%d, %d) %10d cycles\n",
 				s.Kind, s.Task, s.Ctx, s.Phase, s.Start, s.End, s.Cycles())
-			if s.Note != "" {
-				fmt.Fprintf(w, "  (%s)", s.Note)
-			}
-			fmt.Fprintln(w)
 		}
 	}
 }

@@ -325,7 +325,6 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 	}
 	wkBase := m.WakeupTimeouts()
 	ts := newTLSampler(m)
-	ca := newCovAttr(m)
 	sr := newStripRetrier(m, cfg, &rec, ts)
 
 	// rerr is the first abort. Setting it also flips finished, so both
@@ -394,17 +393,14 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 		}
 		before := c.Now()
 		ts.taskStart(t.Kind, before)
-		ca.taskStart(c.ID())
 		runStart, e := sr.run(c, &t)
 		if e != nil {
-			ca.taskEnd(c.ID(), t.Kind, t.Phase)
 			ts.taskEnd(t.Kind, c.Now(), q)
 			abort(e)
 			c.Signal(work)
 			return false
 		}
 		kindCycles[t.Kind] += c.Now() - before
-		ca.taskEnd(c.ID(), t.Kind, t.Phase)
 		if cfg.Trace != nil {
 			ev := TraceEvent{Name: t.Name, Kind: t.Kind, Ctx: c.ID(),
 				Phase: t.Phase, Strip: t.Strip, Start: before, End: c.Now(),
@@ -566,7 +562,6 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 			Err: fmt.Errorf("%w: %d of %d tasks completed", ErrIncomplete, q.Completed(), total)}
 	}
 	publishRun(m, "stream2", st, kindCycles)
-	ca.publish(m.Observer())
 	return Result{Cycles: st.Cycles, Run: st, Queue: q, KindCycles: kindCycles, Recovery: rec}, rerr
 }
 
@@ -607,7 +602,6 @@ func RunStream1Ctx(m *sim.Machine, p *compiler.Program, cfg Config) (Result, err
 		injBase = inj.Total()
 	}
 	ts := newTLSampler(m)
-	ca := newCovAttr(m)
 	sr := newStripRetrier(m, cfg, &rec, ts)
 	var rerr *RunError
 	if cfg.Trace != nil {
@@ -618,16 +612,13 @@ func RunStream1Ctx(m *sim.Machine, p *compiler.Program, cfg Config) (Result, err
 			t := &p.Tasks[i]
 			before := c.Now()
 			ts.taskStart(t.Kind, before)
-			ca.taskStart(c.ID())
 			runStart, e := sr.run(c, t)
 			if e != nil {
-				ca.taskEnd(c.ID(), t.Kind, t.Phase)
 				ts.taskEnd(t.Kind, c.Now(), nil)
 				rerr = e
 				return
 			}
 			kindCycles[t.Kind] += c.Now() - before
-			ca.taskEnd(c.ID(), t.Kind, t.Phase)
 			ts.taskEnd(t.Kind, c.Now(), nil)
 			if cfg.Progress != nil {
 				cfg.Progress(ProgressFrame{Done: i + 1, Total: len(p.Tasks),
@@ -649,7 +640,6 @@ func RunStream1Ctx(m *sim.Machine, p *compiler.Program, cfg Config) (Result, err
 		inj.Publish(m.Observer())
 	}
 	publishRun(m, "stream1", st, kindCycles)
-	ca.publish(m.Observer())
 	res := Result{Cycles: st.Cycles, Run: st, KindCycles: kindCycles, Recovery: rec}
 	if rerr != nil {
 		return res, rerr
@@ -671,11 +661,10 @@ type Loop struct {
 	Refs func(i int, emit func(addr sim.Addr, size int, write bool))
 	// AffineRefs, when non-nil, declares the references instead of Refs
 	// (which is then ignored): iteration i touches
-	// [Base+i*Stride, Base+i*Stride+Size) of each pattern, in order.
-	// Declaring the pattern lets the simulator's fast path batch runs
-	// of all-hit iterations (sim.Pipe.AccessLoop) — use it for the
-	// common dense loops; keep Refs for indexed or conditional ones.
-	// Ops must be constant across iterations when AffineRefs is set.
+	// [Base+i*Stride, Base+i*Stride+Size) of each pattern, in order,
+	// issued through sim.Pipe.AccessLoop. It suits the common dense
+	// loops; keep Refs for indexed or conditional ones. Ops must be
+	// constant across iterations when AffineRefs is set.
 	AffineRefs []sim.BulkRef
 	// Body performs the functional computation of iteration i (may be
 	// nil when the loop exists only for its timing).
@@ -694,10 +683,9 @@ func RunRegular(m *sim.Machine, cfg Config, loops ...Loop) Result {
 			pipe := c.NewPipe(cfg.RegularMLP, cfg.RegularIssue, sim.StateCompute)
 			if l.AffineRefs != nil {
 				// Declared affine pattern: same iteration scheme, issued
-				// through AccessLoop so the fast path can batch it. The
-				// per-iteration compute charge (CPI factor, then the
-				// per-reference op tax) is folded in up front — Ops is
-				// constant for affine loops.
+				// through AccessLoop. The per-iteration compute charge
+				// (CPI factor, then the per-reference op tax) is folded
+				// in up front — Ops is constant for affine loops.
 				var ops int64
 				if l.Ops != nil {
 					if o := l.Ops(0); o > 0 {

@@ -7,8 +7,8 @@ package exec
 // time — it fires after the task's cycles are already accounted, reads
 // completed/total counts and the recovery tally, and never touches a
 // CPU clock or the memory system — so enabling it cannot perturb
-// timing: fast-path byte-identity and the ledger's sim-cycle gates
-// hold with or without a hook attached (DESIGN.md §16). streamd uses
+// timing: the golden outputs and the ledger's sim-cycle gates hold
+// with or without a hook attached (DESIGN.md §16). streamd uses
 // it to serve mid-run progress over long-poll and SSE.
 
 // ProgressFrame is one mid-run progress report from a stream run.

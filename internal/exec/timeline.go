@@ -11,10 +11,9 @@ import (
 // recovery activity as functions of simulated time, plus a Poll that
 // drives registered probes (SRF occupancy). Every method is nil-safe on
 // a nil *tlSampler, so machines without a timeline pay one pointer
-// check per hook and allocate nothing — preserving the fast path's
-// byte-identity guarantees when sampling is off. Sampling itself only
-// reads state (it never advances a clock), so even an attached timeline
-// cannot change simulated timing.
+// check per hook and allocate nothing when sampling is off. Sampling
+// itself only reads state (it never advances a clock), so even an
+// attached timeline cannot change simulated timing.
 
 // overlapTracker measures, incrementally, how much of the run's memory
 // (gather/scatter) busy time coincided with kernel busy time — the
@@ -90,10 +89,7 @@ type tlSampler struct {
 	wqComp   *obs.Series
 	overlap  *obs.Series
 	recovery *obs.Series
-	// Cumulative per-level bandwidth series, sampled at task ends
-	// (points both fast-path modes reach at identical times with
-	// identical counter values — see coverage.go — so an attached
-	// timeline keeps its fast-on/off byte-identity).
+	// Cumulative per-level bandwidth series, sampled at task ends.
 	bwL1   *obs.Series
 	bwL2   *obs.Series
 	bwDRAM *obs.Series

@@ -30,6 +30,10 @@ import (
 //	    Purely additive — v1 entries remain valid v2 inputs, and the
 //	    regression gate's metric checks skip entries (either side)
 //	    that lack a gated key.
+//
+// Entries written before the simulator had a single memory model also
+// carry "fast_path" and coverage.fastpath_pct/coverage.bail.* metrics;
+// readers ignore the field and the keys are plain metrics.
 const LedgerSchema = 2
 
 // LedgerMinSchema is the oldest entry version readers still accept.
@@ -45,7 +49,6 @@ type LedgerEntry struct {
 	Config     string `json:"config,omitempty"`      // human-readable config summary
 	ConfigHash string `json:"config_hash,omitempty"` // Hash of the canonical config
 	Commit     string `json:"commit,omitempty"`      // git describe --always --dirty
-	FastPath   bool   `json:"fast_path"`
 	Quick      bool   `json:"quick,omitempty"`
 	Parallel   int    `json:"parallel,omitempty"`
 

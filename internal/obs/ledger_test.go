@@ -14,7 +14,6 @@ func sampleEntry(exp string, wallNs int64) LedgerEntry {
 		Experiment: exp,
 		Config:     "quick",
 		ConfigHash: Hash("quick"),
-		FastPath:   true,
 		WallNs:     wallNs,
 		SimCycles:  1000,
 		Metrics:    map[string]float64{"sim.cycles": 1000},
@@ -67,6 +66,30 @@ func TestLedgerValidate(t *testing.T) {
 	bad.WallNs = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative wall_ns not rejected")
+	}
+}
+
+// Rows written while the simulator had a bulk fast path carry a
+// "fast_path" field and coverage.* metrics. They must still read,
+// validate and roll up into trends.
+func TestLedgerReadsFastPathEraRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	rows := `{"schema":2,"experiment":"BenchmarkFig9LDSTCompLow","fast_path":true,"wall_ns":47447273,"sim_cycles_per_sec":123456305,"metrics":{"coverage.fastpath_pct":86.06,"coverage.bail.no_pin":12,"fastpath_speedup":0.99},"source":"bench.sh"}
+{"schema":2,"experiment":"BenchmarkFig9LDSTCompLow","fast_path":false,"wall_ns":48000000,"sim_cycles_per_sec":120000000,"source":"bench.sh"}
+`
+	if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadLedger(path)
+	if err != nil {
+		t.Fatalf("fast-path era rows rejected: %v", err)
+	}
+	if len(got) != 2 || got[0].Metrics["coverage.fastpath_pct"] != 86.06 {
+		t.Fatalf("rows = %+v", got)
+	}
+	trend := TrendReport(got, DefaultTrendOptions())
+	if len(trend) != 1 || trend[0].Runs != 2 {
+		t.Fatalf("trend = %+v", trend)
 	}
 }
 

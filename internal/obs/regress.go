@@ -45,17 +45,15 @@ type GateOptions struct {
 // thresholds need no noise model: a clean re-run compares at exactly
 // ratio 1. A zero bound disables that side.
 type MetricGate struct {
-	Key      string  // flattened metric key, e.g. "coverage.fastpath_pct"
+	Key      string  // flattened metric key, e.g. "bw.dram.bytes"
 	MaxRatio float64 // fire when current/baseline > MaxRatio (0: unbounded)
 	MinRatio float64 // fire when current/baseline < MinRatio (0: unbounded)
 }
 
 // DefaultGateOptions returns the tuning used by streambench -compare:
-// flag ≥ ~18% median slowdowns always, tolerate ≤ 10% always. Three
-// metric gates ride along, each evaluated per experiment: fast-path
-// coverage may not halve (a strip that stops batching silently runs
-// 10–20× more simulated work per access), DRAM traffic may not grow
-// past 1.5× (the simulator is bandwidth-bound, so a traffic blow-up is
+// flag ≥ ~18% median slowdowns always, tolerate ≤ 10% always. Two
+// metric gates ride along, each evaluated per experiment: DRAM traffic
+// may not grow past 1.5× (the simulator is bandwidth-bound, so a traffic blow-up is
 // a latent slowdown even if wall-clock noise hides it), and DRAM
 // occupied cycles may not grow past 1.5× either — occupancy can blow
 // up without byte growth (row-buffer locality lost, accesses
@@ -64,7 +62,6 @@ func DefaultGateOptions() GateOptions {
 	return GateOptions{
 		MinRelative: 0.10, MADFactor: 4, MaxRelative: 0.18, MinSamples: 1,
 		Metrics: []MetricGate{
-			{Key: "coverage.fastpath_pct", MinRatio: 0.5},
 			{Key: "bw.dram.bytes", MaxRatio: 1.5},
 			{Key: "bw.dram.cycles", MaxRatio: 1.5},
 		},

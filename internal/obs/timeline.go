@@ -17,8 +17,7 @@ import (
 // point, never advancing any simulated clock, so an attached timeline
 // cannot perturb timing. All hooks are nil-guarded (a nil *Timeline or
 // nil *Series is an inert no-op), so the zero-rate configuration keeps
-// the hot loops allocation-free and the fast path's byte-identity
-// guarantees intact.
+// the hot loops allocation-free.
 //
 // Like the instruments in registry.go, a Timeline is not internally
 // synchronised: the sim engine serialises the simulated threads of one
@@ -236,7 +235,7 @@ func (tl *Timeline) CounterPoints() []CounterPoint {
 
 // WriteTo dumps every series as deterministic text — one header line
 // per series plus one "cycle value" line per point — the byte-exact
-// form the determinism tests compare across fast-path modes.
+// form the determinism and golden tests compare.
 func (tl *Timeline) WriteTo(w io.Writer) (int64, error) {
 	if tl == nil {
 		return 0, nil

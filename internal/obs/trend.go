@@ -19,15 +19,15 @@ import (
 // an outlier against everything we've ever recorded?" — which is what
 // streamtrace -trend prints.
 
-// Trend series labels, in render order. wall_ns comes from the entry
-// itself; the others from its Metrics map.
+// Trend series labels, in render order; both come from the entry
+// itself. Metrics that older entries carry (coverage.fastpath_pct from
+// the retired bulk fast path, for one) are not trended.
 const (
-	trendWall     = "wall_ns"
-	trendCycles   = "sim_cycles_per_sec"
-	trendCoverage = "coverage.fastpath_pct"
+	trendWall   = "wall_ns"
+	trendCycles = "sim_cycles_per_sec"
 )
 
-var trendSeriesOrder = [...]string{trendWall, trendCycles, trendCoverage}
+var trendSeriesOrder = [...]string{trendWall, trendCycles}
 
 // TrendOptions tunes the anomaly flagging.
 type TrendOptions struct {
@@ -88,11 +88,8 @@ func trendValue(e *LedgerEntry, label string) (float64, bool) {
 	switch label {
 	case trendWall:
 		return float64(e.WallNs), e.WallNs > 0
-	case trendCycles:
-		return e.SimCyclesPerSec, e.SimCyclesPerSec > 0
 	default:
-		v, ok := e.Metrics[label]
-		return v, ok
+		return e.SimCyclesPerSec, e.SimCyclesPerSec > 0
 	}
 }
 

@@ -29,8 +29,7 @@ func (m *Machine) WakeupTimeouts() uint64 { return m.wakeupTimeouts }
 
 // faultSpike charges one injected memory-latency spike to the calling
 // context, if the injector fires. Call sites are the scalar blocking
-// access and the pipelined drain — shared by the bulk fast path and
-// the reference path, so both see the same schedule.
+// access and the pipelined drain.
 func (c *CPU) faultSpike() {
 	in := c.m.flt
 	if in == nil {

@@ -58,7 +58,7 @@ type MemSystem struct {
 	Stats MemStats
 
 	// BW attributes bytes moved and cycles occupied per level to the
-	// requesting context (see coverage.go). Indexed by context id.
+	// requesting context (see bandwidth.go). Indexed by context id.
 	BW [2]BWStats
 }
 

@@ -82,7 +82,6 @@ type MachineStats struct {
 	Bus    BusStats
 	Mem    MemStats
 	PF     [2]PFStats
-	Cov    [2]CoverageStats
 	BW     [2]BWStats
 }
 
@@ -95,7 +94,6 @@ func (m *Machine) StatsSnapshot() MachineStats {
 		Bus: m.Mem.Bus.Stats,
 		Mem: m.Mem.Stats,
 		PF:  [2]PFStats{m.Mem.PF[0].Stats, m.Mem.PF[1].Stats},
-		Cov: m.Cov,
 		BW:  m.Mem.BW,
 	}
 }
@@ -109,16 +107,8 @@ func (s MachineStats) Delta(prev MachineStats) MachineStats {
 		Bus: s.Bus.Delta(prev.Bus),
 		Mem: s.Mem.Delta(prev.Mem),
 		PF:  [2]PFStats{s.PF[0].Delta(prev.PF[0]), s.PF[1].Delta(prev.PF[1])},
-		Cov: [2]CoverageStats{s.Cov[0].Delta(prev.Cov[0]), s.Cov[1].Delta(prev.Cov[1])},
 		BW:  [2]BWStats{s.BW[0].Delta(prev.BW[0]), s.BW[1].Delta(prev.BW[1])},
 	}
-}
-
-// CovTotal sums both contexts' coverage counters.
-func (s MachineStats) CovTotal() CoverageStats {
-	t := s.Cov[0]
-	t.Add(s.Cov[1])
-	return t
 }
 
 // BWTotal sums both contexts' bandwidth attribution.
@@ -140,8 +130,7 @@ func (m *Machine) ResetStats() {
 	for i := range m.Mem.PF {
 		m.Mem.PF[i].Stats.Reset()
 	}
-	for i := range m.Cov {
-		m.Cov[i].Reset()
+	for i := range m.Mem.BW {
 		m.Mem.BW[i].Reset()
 	}
 }
@@ -179,17 +168,9 @@ func (s MachineStats) Publish(r *obs.Registry) {
 		r.Gauge(prefix + ".evicted").Set(float64(pf.Evicted))
 	}
 
-	// Fast-path coverage and per-level bandwidth attribution
-	// (coverage.go). Every key is always published, even at zero, so
-	// ledger rows carry a deterministic key set.
-	cov := s.CovTotal()
-	r.Gauge("coverage.fast_accesses").Set(float64(cov.FastAccesses))
-	r.Gauge("coverage.slow_accesses").Set(float64(cov.SlowAccesses))
-	r.Gauge("coverage.batched_iters").Set(float64(cov.BatchedIters))
-	r.Gauge("coverage.fastpath_pct").Set(cov.FastPct())
-	for _, b := range BailReasons() {
-		r.Gauge("coverage.bail." + b.String()).Set(float64(cov.Bails[b]))
-	}
+	// Per-level bandwidth attribution (bandwidth.go). Every key is
+	// always published, even at zero, so ledger rows carry a
+	// deterministic key set.
 	for i := range s.BW {
 		prefix := []string{"bw.ctx0.", "bw.ctx1."}[i]
 		for lvl := range s.BW[i].Bytes {

@@ -80,8 +80,8 @@ type JobSpec struct {
 	// DeadlineMs bounds the job's total latency, queue wait included.
 	// 0 means no deadline.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// Trace requests a Perfetto trace artifact; Coverage a fast-path
-	// coverage report. Micro-benchmark jobs only.
+	// Trace requests a Perfetto trace artifact; Coverage a traffic
+	// report (covreport). Micro-benchmark jobs only.
 	Trace    bool `json:"trace,omitempty"`
 	Coverage bool `json:"coverage,omitempty"`
 }

@@ -11,19 +11,14 @@ import (
 type opCounters struct {
 	strips, elems, arrayBytes *obs.Counter
 	// seqElems/idxElems split elems by access pattern: sequential
-	// (constant-stride, fast-path eligible) versus indexed
-	// (data-dependent — see observeOp).
+	// (constant-stride) versus indexed (data-dependent — see
+	// observeOp).
 	seqElems, idxElems *obs.Counter
-	// runElems counts the indexed elements that the run coalescer
-	// lowered to AccessBulk strided refs (a subset of idxElems; the
-	// per-element remainder is idxElems − runElems).
-	runElems *obs.Counter
 }
 
 // arrayCounters holds the per-array traffic handles, keyed by the
 // array's name: total elements touched and how many of them arrived
-// through an index (the per-array view of the coverage profiler's
-// BailIndexed events).
+// through an index.
 type arrayCounters struct {
 	elems, idxElems *obs.Counter
 }
@@ -74,7 +69,6 @@ func countersFor(r *obs.Registry) *regCounters {
 			arrayBytes: r.Counter("svm.gather.array_bytes"),
 			seqElems:   r.Counter("svm.gather.seq_elems"),
 			idxElems:   r.Counter("svm.gather.indexed_elems"),
-			runElems:   r.Counter("svm.gather.run_elems"),
 		},
 		scatter: opCounters{
 			strips:     r.Counter("svm.scatter.strips"),
@@ -82,7 +76,6 @@ func countersFor(r *obs.Registry) *regCounters {
 			arrayBytes: r.Counter("svm.scatter.array_bytes"),
 			seqElems:   r.Counter("svm.scatter.seq_elems"),
 			idxElems:   r.Counter("svm.scatter.indexed_elems"),
-			runElems:   r.Counter("svm.scatter.run_elems"),
 		},
 		arrays: make(map[string]*arrayCounters),
 	}

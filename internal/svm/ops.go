@@ -17,11 +17,8 @@ func groupBytes(groups []Group) int {
 
 // observeOp records one bulk operation's traffic: the strip count, the
 // array-side bytes moved, and the sequential/indexed element split,
-// per operation and per array. How the *indexed* elements themselves
-// split — coalesced into AccessBulk runs versus issued one Access at a
-// time — is reported after the loop by observeRuns, once the run
-// detector has seen the index vector. The instrument handles are
-// resolved once per registry (see metrics.go).
+// per operation and per array. The instrument handles are resolved
+// once per registry (see metrics.go).
 func observeOp(c *sim.CPU, op string, n, bytesPerRec int, indexed bool, arrayName string) {
 	if c == nil {
 		return
@@ -46,78 +43,6 @@ func observeOp(c *sim.CPU, op string, n, bytesPerRec int, indexed bool, arrayNam
 	} else {
 		oc.seqElems.Add(uint64(n))
 	}
-}
-
-// observeRuns reports how one indexed operation's elements split
-// between coalesced runs (lowered to AccessBulk — BailIndexedRun) and
-// the per-element path (BailIndexed), feeding the coverage profiler's
-// indexed attribution and the svm.*.run_elems counters.
-func observeRuns(c *sim.CPU, op string, runElems, total uint64) {
-	if c == nil {
-		return
-	}
-	c.CountBail(sim.BailIndexedRun, runElems)
-	c.CountBail(sim.BailIndexed, total-runElems)
-	r := c.Machine().Observer()
-	if r == nil {
-		return
-	}
-	cs := countersFor(r)
-	if op == "scatter" {
-		cs.scatter.runElems.Add(runElems)
-	} else {
-		cs.gather.runElems.Add(runElems)
-	}
-}
-
-// idxRunMin is the shortest index run worth lowering to AccessBulk:
-// below it the batch cannot amortise its probe (bulkBatch wants ≥2
-// iterations after window bounds).
-const idxRunMin = 4
-
-// idxRun returns the length (≥1) and constant non-negative delta of
-// the maximal run ix[pos], ix[pos]+d, ix[pos]+2d, ... within
-// ix[pos:pos+max]. Descending runs are not coalesced (negative strides
-// never batch), so they report length 1.
-func idxRun(ix []int32, pos, max int) (int, int32) {
-	if max <= 1 {
-		return max, 0
-	}
-	d := ix[pos+1] - ix[pos]
-	if d < 0 {
-		return 1, 0
-	}
-	l := 2
-	for l < max && ix[pos+l]-ix[pos+l-1] == d {
-		l++
-	}
-	return l, d
-}
-
-// runLowerable reports whether indexed runs over an array with the
-// given layout can be lowered to AccessBulk refs at all: every field
-// group must fit in one L1 line (bulkBatch pins single lines) and the
-// pattern must not be wider than one call can batch. The per-run
-// stride gate (runStrideOK) is checked against each run's delta.
-func runLowerable(c *sim.CPU, groups []Group, nrefs int) bool {
-	if c == nil || nrefs > sim.MaxBulkRefs {
-		return false
-	}
-	l1 := c.Machine().Config().L1Line
-	for _, g := range groups {
-		if g.Size > l1 {
-			return false
-		}
-	}
-	return true
-}
-
-// runStrideOK gates one run's byte stride: at most half an L1 line, so
-// a pinned line covers at least two iterations and the batch is never
-// degenerate. Delta-0 runs (a repeated index — scatter-adds into one
-// row, streamFEM's per-cell face triples) always pass.
-func runStrideOK(c *sim.CPU, d int32, recStride int) bool {
-	return int(d)*recStride <= c.Machine().Config().L1Line/2
 }
 
 // ScatterMode selects how scattered values combine with the array.
@@ -179,81 +104,9 @@ func Gather(c *sim.CPU, cfg OpConfig, dst *Stream, dstStart int, src *Array, fie
 
 	nf := len(src.Layout.Fields)
 	snf := dst.NumFields()
-	seq := idx == nil
-	if c != nil && seq {
-		// A sequential gather is a fixed set of constant-stride
-		// reference streams — one per contiguous field group, each
-		// paired with its SRF-side store — which the simulator
-		// coalesces on the cycle-exact bulk fast path. The access
-		// order is identical to the indexed loop below.
-		refs := make([]sim.BulkRef, 0, 2*len(groups))
-		base := src.RecordAddr(srcStart)
-		for _, g := range groups {
-			refs = append(refs, sim.BulkRef{Base: base + uint64(g.Offset), Size: g.Size,
-				Stride: src.Layout.Stride, Hint: cfg.Hint})
-			if buf.Size > 0 {
-				refs = append(refs, sim.BulkRef{Base: buf.Base, Size: g.Size,
-					Stride: elemBytes, Write: true, Hint: sim.HintNone})
-			}
-		}
-		pipe.AccessBulk(n, refs...)
-	}
-	// An indexed gather coalesces constant-delta runs in the index
-	// vector: a run of records rec0, rec0+d, rec0+2d, ... is the same
-	// fixed set of constant-stride streams as the sequential case, just
-	// with stride d×record (plus the index stream itself), so it lowers
-	// to one AccessBulk per run. The emitted access sequence is
-	// element-for-element identical to the per-element loop — AccessBulk
-	// is bit-identical to that loop by contract — so coalescing cannot
-	// change timing, only how fast the simulator gets there.
-	nrefsPerElem := 1 + len(groups)
-	if buf.Size > 0 {
-		nrefsPerElem += len(groups)
-	}
-	lower := idx != nil && runLowerable(c, groups, nrefsPerElem)
-	var refs []sim.BulkRef
-	if lower {
-		refs = make([]sim.BulkRef, 0, nrefsPerElem)
-	}
-	runElems := 0
-	for k := 0; k < n; {
+	for k := 0; k < n; k++ {
 		rec := srcStart + k
 		if idx != nil {
-			if lower {
-				if l, d := idxRun(idx.Idx, idxStart+k, n-k); l >= idxRunMin && runStrideOK(c, d, src.Layout.Stride) {
-					rec0 := int(idx.Idx[idxStart+k])
-					if rec0 >= 0 && rec0+(l-1)*int(d) < src.N {
-						refs = refs[:0]
-						refs = append(refs, sim.BulkRef{Base: idx.ElemAddr(idxStart + k),
-							Size: IndexElemBytes, Stride: IndexElemBytes, Hint: cfg.Hint})
-						for _, g := range groups {
-							refs = append(refs, sim.BulkRef{Base: src.RecordAddr(rec0) + uint64(g.Offset),
-								Size: g.Size, Stride: int(d) * src.Layout.Stride, Hint: cfg.Hint})
-							if buf.Size > 0 {
-								refs = append(refs, sim.BulkRef{Base: buf.ElemAddr(k, elemBytes),
-									Size: g.Size, Stride: elemBytes, Write: true, Hint: sim.HintNone})
-							}
-						}
-						pipe.AccessBulk(l, refs...)
-						for e := 0; e < l; e++ {
-							r := int(idx.Idx[idxStart+k+e])
-							df := 0
-							for _, g := range groups {
-								for _, fi := range g.Fields {
-									dst.Data[(dstStart+k+e)*snf+df] = src.Data[r*nf+fi]
-									df++
-								}
-							}
-						}
-						runElems += l
-						k += l
-						continue
-					}
-					// An endpoint is out of bounds: the per-element path
-					// below panics at exactly the offending element, with
-					// the same accesses issued before it.
-				}
-			}
 			if c != nil {
 				// The index entries themselves stream sequentially.
 				pipe.Access(idx.ElemAddr(idxStart+k), IndexElemBytes, false, cfg.Hint)
@@ -265,7 +118,7 @@ func Gather(c *sim.CPU, cfg OpConfig, dst *Stream, dstStart int, src *Array, fie
 		}
 		df := 0
 		for _, g := range groups {
-			if c != nil && !seq {
+			if c != nil {
 				pipe.Access(src.RecordAddr(rec)+uint64(g.Offset), g.Size, false, cfg.Hint)
 				if buf.Size > 0 {
 					pipe.Access(buf.ElemAddr(k, elemBytes), g.Size, true, sim.HintNone)
@@ -276,10 +129,6 @@ func Gather(c *sim.CPU, cfg OpConfig, dst *Stream, dstStart int, src *Array, fie
 				df++
 			}
 		}
-		k++
-	}
-	if idx != nil {
-		observeRuns(c, "gather", uint64(runElems), uint64(n))
 	}
 	if c != nil {
 		pipe.Drain()
@@ -312,97 +161,9 @@ func Scatter(c *sim.CPU, cfg OpConfig, src *Stream, srcStart int, dst *Array, fi
 
 	nf := len(dst.Layout.Fields)
 	snf := src.NumFields()
-	seq := idx == nil
-	if c != nil && seq {
-		// Sequential scatter: constant-stride streams per field group,
-		// in the same per-record order as the indexed loop below (SRF
-		// read, then array RMW or store).
-		refs := make([]sim.BulkRef, 0, 3*len(groups))
-		base := dst.RecordAddr(dstStart)
-		for _, g := range groups {
-			if buf.Size > 0 {
-				refs = append(refs, sim.BulkRef{Base: buf.Base, Size: g.Size,
-					Stride: elemBytes, Hint: sim.HintNone})
-			}
-			if mode == ModeAdd {
-				refs = append(refs,
-					sim.BulkRef{Base: base + uint64(g.Offset), Size: g.Size,
-						Stride: dst.Layout.Stride, Hint: sim.HintNone},
-					sim.BulkRef{Base: base + uint64(g.Offset), Size: g.Size,
-						Stride: dst.Layout.Stride, Write: true, Hint: sim.HintNone})
-			} else {
-				refs = append(refs, sim.BulkRef{Base: base + uint64(g.Offset), Size: g.Size,
-					Stride: dst.Layout.Stride, Write: true, Hint: cfg.Hint})
-			}
-		}
-		pipe.AccessBulk(n, refs...)
-	}
-	// Indexed scatter run coalescing, mirroring Gather: a constant-delta
-	// run lowers to [index stream, per group: SRF read, array RMW pair
-	// or store] — the exact per-element access order. The scatter-add
-	// into one record (delta-0 runs, e.g. accumulating a sparse row)
-	// lowers to stride-0 refs, which bulkBatch handles.
-	nrefsPerElem := 1 + len(groups)
-	if buf.Size > 0 {
-		nrefsPerElem += len(groups)
-	}
-	if mode == ModeAdd {
-		nrefsPerElem += len(groups)
-	}
-	lower := idx != nil && runLowerable(c, groups, nrefsPerElem)
-	var refs []sim.BulkRef
-	if lower {
-		refs = make([]sim.BulkRef, 0, nrefsPerElem)
-	}
-	runElems := 0
-	for k := 0; k < n; {
+	for k := 0; k < n; k++ {
 		rec := dstStart + k
 		if idx != nil {
-			if lower {
-				if l, d := idxRun(idx.Idx, idxStart+k, n-k); l >= idxRunMin && runStrideOK(c, d, dst.Layout.Stride) {
-					rec0 := int(idx.Idx[idxStart+k])
-					if rec0 >= 0 && rec0+(l-1)*int(d) < dst.N {
-						refs = refs[:0]
-						refs = append(refs, sim.BulkRef{Base: idx.ElemAddr(idxStart + k),
-							Size: IndexElemBytes, Stride: IndexElemBytes, Hint: cfg.Hint})
-						stride := int(d) * dst.Layout.Stride
-						for _, g := range groups {
-							if buf.Size > 0 {
-								refs = append(refs, sim.BulkRef{Base: buf.ElemAddr(k, elemBytes),
-									Size: g.Size, Stride: elemBytes, Hint: sim.HintNone})
-							}
-							base := dst.RecordAddr(rec0) + uint64(g.Offset)
-							if mode == ModeAdd {
-								refs = append(refs,
-									sim.BulkRef{Base: base, Size: g.Size, Stride: stride, Hint: sim.HintNone},
-									sim.BulkRef{Base: base, Size: g.Size, Stride: stride, Write: true, Hint: sim.HintNone})
-							} else {
-								refs = append(refs, sim.BulkRef{Base: base, Size: g.Size,
-									Stride: stride, Write: true, Hint: cfg.Hint})
-							}
-						}
-						pipe.AccessBulk(l, refs...)
-						for e := 0; e < l; e++ {
-							r := int(idx.Idx[idxStart+k+e])
-							sf := 0
-							for _, g := range groups {
-								for _, fi := range g.Fields {
-									v := src.Data[(srcStart+k+e)*snf+sf]
-									if mode == ModeAdd {
-										dst.Data[r*nf+fi] += v
-									} else {
-										dst.Data[r*nf+fi] = v
-									}
-									sf++
-								}
-							}
-						}
-						runElems += l
-						k += l
-						continue
-					}
-				}
-			}
 			if c != nil {
 				pipe.Access(idx.ElemAddr(idxStart+k), IndexElemBytes, false, cfg.Hint)
 			}
@@ -413,7 +174,7 @@ func Scatter(c *sim.CPU, cfg OpConfig, src *Stream, srcStart int, dst *Array, fi
 		}
 		sf := 0
 		for _, g := range groups {
-			if c != nil && !seq {
+			if c != nil {
 				if buf.Size > 0 {
 					pipe.Access(buf.ElemAddr(k, elemBytes), g.Size, false, sim.HintNone)
 				}
@@ -436,10 +197,6 @@ func Scatter(c *sim.CPU, cfg OpConfig, src *Stream, srcStart int, dst *Array, fi
 				sf++
 			}
 		}
-		k++
-	}
-	if idx != nil {
-		observeRuns(c, "scatter", uint64(runElems), uint64(n))
 	}
 	if c != nil {
 		pipe.Drain()
@@ -481,80 +238,7 @@ func GatherMulti(c *sim.CPU, cfg OpConfig, dst *Stream, dstStart int, src *Array
 	nf := len(src.Layout.Fields)
 	snf := dst.NumFields()
 	per := len(fields)
-
-	// Run coalescing needs every index array to run simultaneously: the
-	// batch length is the shortest run among them, each contributing its
-	// own delta (streamFEM's face triples often advance in lockstep).
-	nrefsPerElem := len(idxs) * (1 + len(groups))
-	if buf.Size > 0 {
-		nrefsPerElem += len(idxs) * len(groups)
-	}
-	lower := runLowerable(c, groups, nrefsPerElem)
-	var refs []sim.BulkRef
-	var ds []int32
-	if lower {
-		refs = make([]sim.BulkRef, 0, nrefsPerElem)
-		ds = make([]int32, len(idxs))
-	}
-	runElems := 0
-	for k := 0; k < n; {
-		if lower {
-			l := n - k
-			ok := true
-			for j, ix := range idxs {
-				lj, dj := idxRun(ix.Idx, idxStart+k, n-k)
-				if lj < l {
-					l = lj
-				}
-				if !runStrideOK(c, dj, src.Layout.Stride) {
-					ok = false
-					break
-				}
-				ds[j] = dj
-			}
-			ok = ok && l >= idxRunMin
-			if ok {
-				for j, ix := range idxs {
-					rec0 := int(ix.Idx[idxStart+k])
-					if rec0 < 0 || rec0+(l-1)*int(ds[j]) >= src.N {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				refs = refs[:0]
-				for j, ix := range idxs {
-					refs = append(refs, sim.BulkRef{Base: ix.ElemAddr(idxStart + k),
-						Size: IndexElemBytes, Stride: IndexElemBytes, Hint: cfg.Hint})
-					rec0 := int(ix.Idx[idxStart+k])
-					for _, g := range groups {
-						refs = append(refs, sim.BulkRef{Base: src.RecordAddr(rec0) + uint64(g.Offset),
-							Size: g.Size, Stride: int(ds[j]) * src.Layout.Stride, Hint: cfg.Hint})
-						if buf.Size > 0 {
-							refs = append(refs, sim.BulkRef{Base: buf.ElemAddr(k, elemBytes),
-								Size: g.Size, Stride: elemBytes, Write: true, Hint: sim.HintNone})
-						}
-					}
-				}
-				pipe.AccessBulk(l, refs...)
-				for e := 0; e < l; e++ {
-					for j, ix := range idxs {
-						rec := int(ix.Idx[idxStart+k+e])
-						df := j * per
-						for _, g := range groups {
-							for _, fi := range g.Fields {
-								dst.Data[(dstStart+k+e)*snf+df] = src.Data[rec*nf+fi]
-								df++
-							}
-						}
-					}
-				}
-				runElems += l * len(idxs)
-				k += l
-				continue
-			}
-		}
+	for k := 0; k < n; k++ {
 		for j, ix := range idxs {
 			if c != nil {
 				pipe.Access(ix.ElemAddr(idxStart+k), IndexElemBytes, false, cfg.Hint)
@@ -577,9 +261,7 @@ func GatherMulti(c *sim.CPU, cfg OpConfig, dst *Stream, dstStart int, src *Array
 				}
 			}
 		}
-		k++
 	}
-	observeRuns(c, "gather", uint64(runElems), uint64(n*len(idxs)))
 	if c != nil {
 		pipe.Drain()
 	}

@@ -1,29 +1,26 @@
 #!/bin/sh
 # Measures the simulator's wall-clock performance on the fig5/fig9/fig11
-# benchmarks, with the bulk fast path on and off (same binary, selected
-# via STREAMGPP_FASTPATH), and writes BENCH_wallclock.json: per
-# benchmark, the best ns/op of each mode, the simulated cycles per
-# iteration, the simulated-cycles-per-second throughput, and the
-# fast-path speedup.
+# benchmarks and writes BENCH_wallclock.json: per benchmark, the best
+# ns/op, the simulated cycles per iteration and the
+# simulated-cycles-per-second throughput.
 #
 # If STREAMGPP_BASELINE_BIN names a `go test -c` binary built from an
 # older tree (e.g. via `git worktree add /tmp/base <ref>`), it is run
 # interleaved with the current one and each record additionally gets
 # baseline_ns_per_op and speedup_vs_baseline — wall-clock before/after
-# across commits, with machine noise hitting all modes alike.
+# across commits, with machine noise hitting both binaries alike. This
+# vs-baseline comparison, together with the golden files that pin every
+# simulated cycle (internal/bench/testdata), is the regression check for
+# simulator speed changes.
 #
 # A full run also appends one run-ledger line per benchmark (the JSONL
 # schema of internal/obs/ledger.go, keyed by `git describe`) to
 # BENCH_history.jsonl, so wall-clock history accumulates across commits
 # and `streambench -compare`/`-validate` can consume it. Each history
-# line carries coverage.fastpath_pct and fastpath_speedup metrics plus
-# the simulator process's runtime.heap_inuse_bytes and
+# line carries the simulator process's runtime.heap_inuse_bytes and
 # runtime.gc_pause_p99_ns (from the benchmarks' runtime collector
 # sample), so `streamtrace -trend` can flag memory or GC regressions
-# alongside wall-clock ones, and
-# a full run exits 3 if any benchmark's fast path measures >5% slower
-# than the reference path in the same binary. Smoke runs leave the
-# history untouched and skip the gate.
+# alongside wall-clock ones. Smoke runs leave the history untouched.
 #
 # Usage:
 #   scripts/bench.sh          # the measured set (a few minutes)
@@ -49,49 +46,44 @@ smoke | --smoke)
 	;;
 esac
 BIN="$(mktemp /tmp/streamgpp-bench.XXXXXX)"
-ON="$(mktemp /tmp/streamgpp-on.XXXXXX)"
-OFF="$(mktemp /tmp/streamgpp-off.XXXXXX)"
+CUR="$(mktemp /tmp/streamgpp-cur.XXXXXX)"
 BASE="$(mktemp /tmp/streamgpp-base.XXXXXX)"
-trap 'rm -f "$BIN" "$ON" "$OFF" "$BASE"' EXIT
+trap 'rm -f "$BIN" "$CUR" "$BASE"' EXIT
 
 go test -c -o "$BIN" .
 
-# Interleave the modes count times so machine noise hits all alike.
-: >"$ON"
-: >"$OFF"
+# Interleave the binaries count times so machine noise hits both alike.
+: >"$CUR"
 : >"$BASE"
 i=0
 while [ "$i" -lt "$COUNT" ]; do
-	"$BIN" -test.run '^$' -test.bench "$PAT" -test.benchtime "$TIME" >>"$ON"
-	STREAMGPP_FASTPATH=off "$BIN" -test.run '^$' -test.bench "$PAT" -test.benchtime "$TIME" >>"$OFF"
+	"$BIN" -test.run '^$' -test.bench "$PAT" -test.benchtime "$TIME" >>"$CUR"
 	if [ -n "${STREAMGPP_BASELINE_BIN:-}" ]; then
 		"$STREAMGPP_BASELINE_BIN" -test.run '^$' -test.bench "$PAT" -test.benchtime "$TIME" >>"$BASE"
 	fi
 	i=$((i + 1))
 done
 
-awk -v onfile="$ON" -v offfile="$OFF" -v basefile="$BASE" '
-function ingest(file, best, cyc, cov,    n, i, name, ns, c, cv, hp, gp, line, f) {
+awk -v curfile="$CUR" -v basefile="$BASE" '
+function ingest(file, best, cyc,    n, i, name, ns, c, hp, gp, line, f) {
 	while ((getline line <file) > 0) {
 		n = split(line, f, /[ \t]+/)
 		if (f[1] !~ /^Benchmark/) continue
 		name = f[1]
 		sub(/-[0-9]+$/, "", name)
-		ns = -1; c = -1; cv = -1; hp = -1; gp = -1
+		ns = -1; c = -1; hp = -1; gp = -1
 		for (i = 3; i <= n; i++) {
 			if (f[i] == "ns/op") ns = f[i-1]
 			if (f[i] == "sim-cycles") c = f[i-1]
-			if (f[i] == "fastpath-cov-pct") cv = f[i-1]
 			if (f[i] == "heap-inuse-bytes") hp = f[i-1]
 			if (f[i] == "gc-pause-p99-ns") gp = f[i-1]
 		}
 		if (ns < 0) continue
 		if (!(name in best) || ns < best[name]) best[name] = ns
 		if (c >= 0) cyc[name] = c
-		if (cv >= 0) cov[name] = cv
-		# Runtime samples only matter for the fast-path binary under
+		# Runtime samples only matter for the binary under
 		# measurement; keep the last sample per benchmark.
-		if (file == onfile) {
+		if (file == curfile) {
 			if (hp >= 0) heap[name] = hp
 			if (gp >= 0) gcp99[name] = gp
 		}
@@ -101,9 +93,8 @@ function ingest(file, best, cyc, cov,    n, i, name, ns, c, cv, hp, gp, line, f)
 }
 BEGIN {
 	norder = 0
-	ingest(onfile, on, cycles, covpct)
-	ingest(offfile, off, cycles, covoff)
-	ingest(basefile, base, basecycles, covbase)
+	ingest(curfile, cur, cycles)
+	ingest(basefile, base, basecycles)
 	printf "[\n"
 	first = 1
 	for (i = 1; i <= norder; i++) {
@@ -113,25 +104,20 @@ BEGIN {
 		if (!first) printf ",\n"
 		first = 0
 		printf "  {\"benchmark\": \"%s\"", name
-		printf ", \"fast_ns_per_op\": %.0f", on[name]
-		printf ", \"reference_ns_per_op\": %.0f", off[name]
-		if (off[name] > 0 && on[name] > 0)
-			printf ", \"fastpath_speedup\": %.2f", off[name] / on[name]
+		printf ", \"ns_per_op\": %.0f", cur[name]
 		if (name in cycles) {
 			printf ", \"sim_cycles\": %.0f", cycles[name]
-			if (on[name] > 0)
-				printf ", \"sim_cycles_per_sec\": %.0f", cycles[name] * 1e9 / on[name]
+			if (cur[name] > 0)
+				printf ", \"sim_cycles_per_sec\": %.0f", cycles[name] * 1e9 / cur[name]
 		}
-		if (name in covpct)
-			printf ", \"fastpath_coverage_pct\": %.2f", covpct[name]
 		if (name in heap)
 			printf ", \"heap_inuse_bytes\": %.0f", heap[name]
 		if (name in gcp99)
 			printf ", \"gc_pause_p99_ns\": %.0f", gcp99[name]
 		if (name in base) {
 			printf ", \"baseline_ns_per_op\": %.0f", base[name]
-			if (on[name] > 0)
-				printf ", \"speedup_vs_baseline\": %.2f", base[name] / on[name]
+			if (cur[name] > 0)
+				printf ", \"speedup_vs_baseline\": %.2f", base[name] / cur[name]
 		}
 		printf "}"
 	}
@@ -147,44 +133,22 @@ if [ "$MODE" != "smoke" ] && [ "$MODE" != "--smoke" ]; then
 	NOW="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 	awk -v commit="$COMMIT" -v now="$NOW" '
 	/"benchmark"/ {
-		name = ""; ns = ""; cyc = ""; cps = ""; cov = ""; spd = ""; hp = ""; gp = ""
+		name = ""; ns = ""; cyc = ""; cps = ""; hp = ""; gp = ""
 		if (match($0, /"benchmark": "[^"]+"/)) name = substr($0, RSTART + 14, RLENGTH - 15)
-		if (match($0, /"fast_ns_per_op": [0-9]+/)) ns = substr($0, RSTART + 18, RLENGTH - 18)
+		if (match($0, /"ns_per_op": [0-9]+/)) ns = substr($0, RSTART + 13, RLENGTH - 13)
 		if (match($0, /"sim_cycles": [0-9]+/)) cyc = substr($0, RSTART + 14, RLENGTH - 14)
 		if (match($0, /"sim_cycles_per_sec": [0-9]+/)) cps = substr($0, RSTART + 22, RLENGTH - 22)
-		if (match($0, /"fastpath_coverage_pct": [0-9.]+/)) cov = substr($0, RSTART + 25, RLENGTH - 25)
-		if (match($0, /"fastpath_speedup": [0-9.]+/)) spd = substr($0, RSTART + 20, RLENGTH - 20)
 		if (match($0, /"heap_inuse_bytes": [0-9]+/)) hp = substr($0, RSTART + 20, RLENGTH - 20)
 		if (match($0, /"gc_pause_p99_ns": [0-9]+/)) gp = substr($0, RSTART + 19, RLENGTH - 19)
 		if (name == "" || ns == "") next
-		printf "{\"schema\":2,\"time\":\"%s\",\"experiment\":\"%s\",\"commit\":\"%s\",\"fast_path\":true,\"wall_ns\":%s", now, name, commit, ns
+		printf "{\"schema\":2,\"time\":\"%s\",\"experiment\":\"%s\",\"commit\":\"%s\",\"wall_ns\":%s", now, name, commit, ns
 		if (cyc != "") printf ",\"sim_cycles\":%s", cyc
 		if (cps != "") printf ",\"sim_cycles_per_sec\":%s", cps
 		metrics = ""
-		if (cov != "") metrics = "\"coverage.fastpath_pct\":" cov
-		if (spd != "") metrics = metrics (metrics == "" ? "" : ",") "\"fastpath_speedup\":" spd
 		if (hp != "") metrics = metrics (metrics == "" ? "" : ",") "\"runtime.heap_inuse_bytes\":" hp
 		if (gp != "") metrics = metrics (metrics == "" ? "" : ",") "\"runtime.gc_pause_p99_ns\":" gp
 		if (metrics != "") printf ",\"metrics\":{%s}", metrics
 		printf ",\"source\":\"bench.sh\"}\n"
 	}' "$OUT" >>"$HIST"
 	echo "appended $(grep -c "\"time\":\"$NOW\"" "$HIST") entries to $HIST (commit $COMMIT)"
-
-	# Gate: the fast path must not lose to the reference path in its own
-	# binary. Both modes ran interleaved on this machine moments apart,
-	# so a >5% deficit is signal, not noise — fail loudly (exit 3, the
-	# regression-gate exit code) naming the offenders.
-	LOSERS="$(awk '
-	/"benchmark"/ {
-		name = ""; spd = ""
-		if (match($0, /"benchmark": "[^"]+"/)) name = substr($0, RSTART + 14, RLENGTH - 15)
-		if (match($0, /"fastpath_speedup": [0-9.]+/)) spd = substr($0, RSTART + 20, RLENGTH - 20)
-		if (name != "" && spd != "" && spd + 0 < 0.95)
-			printf "%s (%.2fx)\n", name, spd
-	}' "$OUT")"
-	if [ -n "$LOSERS" ]; then
-		echo "FAIL: fast path >5% slower than reference on:" >&2
-		echo "$LOSERS" >&2
-		exit 3
-	fi
 fi

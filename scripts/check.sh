@@ -5,8 +5,7 @@
 # and the regression gate (a clean re-run must pass, a synthetically
 # slowed run must fail), a smoke of the critical-path profiler and the
 # what-if cross-check (identity exact, kernel speedup within the gate
-# tolerance), a smoke of the fast-path coverage profiler (known bail
-# reason named, nonzero DRAM attribution), the streamd job-service
+# tolerance), the streamd job-service
 # lifecycle selftest (cache hit byte-identity, mid-run SSE progress,
 # /metricz scrape, the /sloz report, a live /debug/pprof goroutine
 # profile, the post-drain goroutine-leak gate, SIGTERM drain, valid
@@ -29,7 +28,7 @@ echo "== go test -race (wq, exec, obs, svm) =="
 go test -race ./internal/wq/ ./internal/exec/ ./internal/obs/ ./internal/svm/
 
 echo "== go test -race (parallel experiment runner) =="
-go test -race -run 'TestFastPathAndParallelRunsAreByteIdentical' ./internal/bench/
+go test -race -run 'TestParallelRunsAreByteIdentical' ./internal/bench/
 
 echo "== go test -race (streamd soak, shortened) =="
 # The full 520-job soak runs in the plain 'go test ./...' pass above;
@@ -38,10 +37,10 @@ echo "== go test -race (streamd soak, shortened) =="
 # structural.
 go test -race -short -run 'TestSoak' ./internal/streamd/
 
-echo "== fuzz smoke (bitvec, wq, sim fast path) =="
+echo "== fuzz smoke (bitvec, wq, sim memory model) =="
 go test -run='^$' -fuzz=FuzzVec -fuzztime=5s ./internal/bitvec/
 go test -run='^$' -fuzz=FuzzDependencyOrder -fuzztime=5s ./internal/wq/
-go test -run='^$' -fuzz=FuzzAccessBulk -fuzztime=5s ./internal/sim/
+go test -run='^$' -fuzz=FuzzMemModel -fuzztime=5s ./internal/sim/
 
 echo "== fault-matrix smoke =="
 # Each fault kind against one experiment at a fixed seed; every run
@@ -108,23 +107,6 @@ grep "kernel=1.25" /tmp/whatif.txt | grep -q "PASS" \
     || { echo "kernel=1.25 scenario did not pass the gate"; cat /tmp/whatif.txt; exit 1; }
 /tmp/streambench.check -validate "$GATE_BASE"
 
-echo "== fast-path coverage smoke =="
-# The coverage profiler must explain the SPAS run: report a fast-path
-# coverage percentage, name a dominant bail reason from the taxonomy
-# (SPAS's indexed accesses make one inevitable), and attribute nonzero
-# DRAM traffic with a roofline summary.
-/tmp/streamtrace.check -app spas -coverage >/tmp/coverage.txt
-grep -q "fast path served" /tmp/coverage.txt \
-    || { echo "streamtrace -coverage printed no coverage line"; cat /tmp/coverage.txt; exit 1; }
-grep -q "dominant bail: " /tmp/coverage.txt \
-    || { echo "streamtrace -coverage named no dominant bail reason"; cat /tmp/coverage.txt; exit 1; }
-grep -Eq "indexed|no_pin" /tmp/coverage.txt \
-    || { echo "streamtrace -coverage missing known bail-reason keys"; cat /tmp/coverage.txt; exit 1; }
-grep -E "DRAM" /tmp/coverage.txt | grep -Eq "[1-9][0-9]*" \
-    || { echo "streamtrace -coverage attributed no DRAM bytes"; cat /tmp/coverage.txt; exit 1; }
-grep -q "roofline" /tmp/coverage.txt \
-    || { echo "streamtrace -coverage printed no roofline summary"; cat /tmp/coverage.txt; exit 1; }
-
 echo "== streamd lifecycle smoke =="
 # The selftest drives the full job-service lifecycle over real HTTP:
 # submit the quickstart job twice and assert the second response is a
@@ -179,7 +161,7 @@ grep -q "wall_ns" /tmp/streamd_trend.txt \
     || { echo "trend report shows no wall_ns series"; cat /tmp/streamd_trend.txt; exit 1; }
 
 rm -f "$GATE_BASE" "$STREAMD_LEDGER" "$STREAMD_LEDGER.events" /tmp/streambench.check /tmp/streamd.check /tmp/streamd_selftest.txt /tmp/streamd_events.txt /tmp/streamd_trend.txt
-rm -f /tmp/streamtrace.check /tmp/fault_a.txt /tmp/fault_b.txt /tmp/critpath.txt /tmp/whatif.txt /tmp/coverage.txt
+rm -f /tmp/streamtrace.check /tmp/fault_a.txt /tmp/fault_b.txt /tmp/critpath.txt /tmp/whatif.txt
 
 echo "== scripts/bench.sh smoke =="
 sh scripts/bench.sh smoke
