@@ -209,16 +209,19 @@ func TestCacheNoDuplicateLinesProperty(t *testing.T) {
 				c.Fill(addr, rng.Intn(2) == 0, hint)
 			}
 			// Check invariant: each (set, tag) appears at most once.
-			for s := range c.sets {
+			for s := 0; s < c.nsets; s++ {
 				seen := map[uint64]bool{}
-				for _, ln := range c.sets[s] {
-					if !ln.valid {
+				for w, tag := range c.tags[s*c.ways : (s+1)*c.ways] {
+					if c.valid[s]&(1<<w) == 0 {
+						if tag != 0 {
+							return false
+						}
 						continue
 					}
-					if seen[ln.tag] {
+					if seen[tag] {
 						return false
 					}
-					seen[ln.tag] = true
+					seen[tag] = true
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -15,6 +16,41 @@ func TestTLBHitAfterInstall(t *testing.T) {
 	}
 	if tlb.Translate(0x2000) {
 		t.Fatal("hit in uninstalled page")
+	}
+}
+
+// The O(1) TLB must agree, translation by translation, with a
+// map-and-tick LRU over streams that mix reuse, fresh pages and
+// flushes, at sizes where the page index wraps and collides.
+func TestTLBMatchesNaiveLRU(t *testing.T) {
+	for _, entries := range []int{1, 3, 64, 512} {
+		tlb := NewTLB(entries, 4096)
+		used := map[uint64]uint64{} // page → last-use tick
+		rng := rand.New(rand.NewSource(int64(entries)))
+		for tick := uint64(1); tick < 100000; tick++ {
+			if rng.Intn(5000) == 0 {
+				tlb.Flush()
+				clear(used)
+			}
+			page := uint64(rng.Intn(3 * entries))
+			if rng.Intn(4) == 0 {
+				page = uint64(rng.Intn(1 << 20))
+			}
+			_, want := used[page]
+			if !want && len(used) == entries {
+				lru, oldest := uint64(0), ^uint64(0)
+				for p, u := range used {
+					if u < oldest {
+						lru, oldest = p, u
+					}
+				}
+				delete(used, lru)
+			}
+			used[page] = tick
+			if got := tlb.Translate(Addr(page) << 12); got != want {
+				t.Fatalf("%d entries, translation %d of page %#x: hit=%v, naive LRU %v", entries, tick, page, got, want)
+			}
+		}
 	}
 }
 
