@@ -92,13 +92,18 @@ func NewInstance(p Params) (*Instance, error) {
 	if band < p.NNZPerRow {
 		band = p.NNZPerRow
 	}
+	// seen[c+1] == r+1 marks column c as already drawn in row r: an O(1)
+	// duplicate check per draw that consumes the same random sequence
+	// as scanning the row, so the matrix is unchanged. (The reflections
+	// below keep c in [-1, Rows); -1 occurs only when the band spans
+	// the whole matrix.)
+	seen := make([]int32, p.Rows+1)
 	k := 0
 	for r := 0; r < p.Rows; r++ {
 		inst.RowPtr[r] = int32(k)
-		rowStart := k
+		stamp := int32(r + 1)
 		for j := 0; j < p.NNZPerRow; j++ {
 			var c int32
-		draw:
 			for {
 				if rng.Float64() < 0.98 {
 					c = int32(r + rng.Intn(2*band+1) - band)
@@ -111,17 +116,11 @@ func NewInstance(p Params) (*Instance, error) {
 				if int(c) >= p.Rows {
 					c = int32(2*p.Rows-2) - c
 				}
-				// Row-local duplicate check: the row's chosen columns so
-				// far are ColIdx[rowStart:k]; a scan over ≤NNZPerRow
-				// entries beats a per-row map (and draws the same random
-				// sequence, so the matrix is unchanged).
-				for _, prev := range inst.ColIdx.Idx[rowStart:k] {
-					if prev == c {
-						continue draw
-					}
+				if seen[c+1] != stamp {
+					break
 				}
-				break
 			}
+			seen[c+1] = stamp
 			inst.ColIdx.Idx[k] = c
 			inst.RowOf.Idx[k] = int32(r)
 			inst.Vals.Set(k, 0, rng.Float64()*2-1)
