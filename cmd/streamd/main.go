@@ -109,7 +109,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "streamd: %v\n", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	hs := newHTTPServer(*addr, s.Handler())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
@@ -150,7 +150,7 @@ func runSelftest(opts streamd.Options) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer("", s.Handler())
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("streamd: selftest server on %s\n", base)
@@ -430,4 +430,12 @@ func runSelftest(opts streamd.Options) error {
 	}
 	fmt.Printf("streamd: selftest goroutine-leak gate ok (baseline %d, after drain %d)\n", baseGoroutines, after)
 	return nil
+}
+
+// newHTTPServer bounds how long a client may take to send its request
+// headers and how long an idle keep-alive connection stays open. It
+// sets no WriteTimeout: long-poll results and the SSE progress stream
+// legitimately hold a response open for the whole run.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 }

@@ -207,12 +207,30 @@ type errorBody struct {
 	Job   *JobError `json:"job_error,omitempty"`
 }
 
+// maxSubmitBytes bounds a job submission body. A JobSpec encodes in a
+// few hundred bytes, so the bound only stops a client from making the
+// server buffer an arbitrarily large request.
+const maxSubmitBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "streamd: bad job JSON: " + err.Error()})
+	err := dec.Decode(&spec)
+	if err == nil {
+		// The body must hold exactly one JSON value.
+		if err = dec.Decode(&json.RawMessage{}); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the job object")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: "streamd: bad job JSON: " + err.Error()})
 		return
 	}
 	job, err := s.Submit(spec)
