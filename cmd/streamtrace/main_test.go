@@ -3,21 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"streamgpp/internal/apps/micro"
 	"streamgpp/internal/exec"
+	"streamgpp/internal/golden"
 	"streamgpp/internal/obs"
 	"streamgpp/internal/sim"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // traceJSON mirrors the trace_event schema enough to audit a trace.
 type traceJSON struct {
@@ -99,22 +95,7 @@ func TestQuickstartTraceRoundTrip(t *testing.T) {
 	}
 
 	got := strings.Join(counterNames(counterTs), "\n") + "\n"
-	golden := filepath.Join("testdata", "quickstart_tracks.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("counter track names changed:\ngot:\n%s\nwant:\n%s\n(re-run with -update if intended)", got, want)
-	}
+	golden.Check(t, "quickstart_tracks.golden", []byte(got))
 }
 
 func counterNames(m map[string][]float64) []string {

@@ -2,18 +2,18 @@ package obs
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"streamgpp/internal/golden"
 )
 
 // TestWritePromGolden pins the exposition byte-for-byte: metric-name
 // escaping (dots, spaces, braces, leading digits), HELP/TYPE lines,
 // histogram bucket cumulativity and the derived quantile gauges. If
 // the encoding changes deliberately, regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/obs -run TestWritePromGolden.
+// go test ./internal/obs -run TestWritePromGolden -update.
 func TestWritePromGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("exec.strip_retries").Add(3)
@@ -35,19 +35,7 @@ func TestWritePromGolden(t *testing.T) {
 	if err := WriteProm(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "prom.golden")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("exposition drifted from golden file:\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
-	}
+	golden.Check(t, "prom.golden", buf.Bytes())
 }
 
 // Bucket cumulativity is a hard invariant scrapers rely on: each
