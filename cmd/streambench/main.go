@@ -61,14 +61,14 @@ func main() {
 	}
 
 	if *validate != "" {
-		_, stats, err := obs.ReadLedgerStats(*validate)
+		_, stats, err := obs.ReadJSONL[obs.LedgerEntry](*validate)
 		if err != nil {
 			fatal(err)
 		}
 		if stats.TornTail {
 			fmt.Printf("%s: warning: torn final line %d skipped (crashed writer)\n", *validate, stats.TornLine)
 		}
-		fmt.Printf("%s: %d ledger entries, schema v%d, all valid\n", *validate, stats.Entries, obs.LedgerSchema)
+		fmt.Printf("%s: %d ledger entries, schema v%d, all valid\n", *validate, stats.Records, obs.LedgerSchema)
 		return
 	}
 
@@ -197,6 +197,7 @@ func runWhatIf(spec string, quick bool, ledgerPath, commit, machineDesc string, 
 	wall := time.Since(t0).Nanoseconds()
 
 	if ledgerPath != "" {
+		var entries []obs.LedgerEntry
 		for _, r := range res.Rows {
 			verdict := "pass"
 			switch {
@@ -231,11 +232,12 @@ func runWhatIf(spec string, quick bool, ledgerPath, commit, machineDesc string, 
 					"whatif_tolerance": fmt.Sprintf("%g", res.Tolerance),
 				},
 			}
-			if err := obs.AppendLedger(ledgerPath, entry); err != nil {
-				fatal(err)
-			}
+			entries = append(entries, entry)
 		}
-		fmt.Printf("\nappended %d ledger entries to %s\n", len(res.Rows), ledgerPath)
+		if err := obs.AppendJSONL(ledgerPath, entries...); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("\nappended %d ledger entries to %s\n", len(entries), ledgerPath)
 	}
 
 	if res.Failed > 0 {
@@ -345,16 +347,14 @@ func runMeasured(o measureOpts) {
 	}
 
 	if o.ledger != "" {
-		for _, entry := range entries {
-			if err := obs.AppendLedger(o.ledger, entry); err != nil {
-				o.fatal(err)
-			}
+		if err := obs.AppendJSONL(o.ledger, entries...); err != nil {
+			o.fatal(err)
 		}
 		fmt.Printf("\nappended %d ledger entries to %s\n", len(entries), o.ledger)
 	}
 
 	if o.compare != "" {
-		baseline, err := obs.ReadLedger(o.compare)
+		baseline, _, err := obs.ReadJSONL[obs.LedgerEntry](o.compare)
 		if err != nil {
 			o.fatal(err)
 		}

@@ -384,7 +384,7 @@ func runSelftest(opts streamd.Options) error {
 	// appends nothing). The event log next to it must round-trip too,
 	// with its tail whole — Drain closed it after the last worker.
 	if opts.LedgerPath != "" {
-		entries, stats, err := obs.ReadLedgerStats(opts.LedgerPath)
+		entries, stats, err := obs.ReadJSONL[obs.LedgerEntry](opts.LedgerPath)
 		if err != nil {
 			return fmt.Errorf("post-drain ledger: %w", err)
 		}
@@ -395,14 +395,18 @@ func runSelftest(opts streamd.Options) error {
 			return fmt.Errorf("post-drain ledger has %d entries, want ≥2", len(entries))
 		}
 		fmt.Printf("streamd: selftest ledger valid (%d entries)\n", len(entries))
-		_, estats, err := streamd.ReadEvents(opts.LedgerPath + ".events")
+		events, estats, err := obs.ReadJSONL[streamd.Event](opts.LedgerPath + ".events")
 		if err != nil {
 			return fmt.Errorf("post-drain event log: %w", err)
 		}
 		if estats.TornTail {
 			return fmt.Errorf("post-drain event log has a torn tail")
 		}
-		fmt.Printf("streamd: selftest event log valid (%d events over %d jobs)\n", estats.Events, estats.Jobs)
+		jobs := make(map[string]bool)
+		for _, e := range events {
+			jobs[e.Job] = true
+		}
+		fmt.Printf("streamd: selftest event log valid (%d events over %d jobs)\n", estats.Records, len(jobs))
 	}
 	st := s.Stats()
 	if st.Failed != 0 {

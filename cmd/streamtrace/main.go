@@ -51,10 +51,11 @@ import (
 // A torn final line — the crash artifact the log's readers tolerate —
 // is noted, not fatal.
 func printEvents(w io.Writer, path string) error {
-	events, stats, err := streamd.ReadEvents(path)
+	events, stats, err := obs.ReadJSONL[streamd.Event](path)
 	if err != nil {
 		return err
 	}
+	jobs := make(map[string]bool)
 	fmt.Fprintf(w, "%-5s %12s  %-10s  %-8s  %-13s  %-9s  %-5s  %s\n",
 		"SEQ", "T_MS", "JOB", "TYPE", "APP", "STATE", "CACHE", "DETAIL")
 	for _, e := range events {
@@ -68,8 +69,9 @@ func printEvents(w io.Writer, path string) error {
 		fmt.Fprintf(w, "%-5d %12.3f  %-10s  %-8s  %-13s  %-9s  %-5s  %s\n",
 			e.Seq, float64(e.TNs)/1e6, e.Job, e.Type, e.App, e.State, e.Cache,
 			strings.Join(detail, " "))
+		jobs[e.Job] = true
 	}
-	fmt.Fprintf(w, "%d events over %d jobs\n", stats.Events, stats.Jobs)
+	fmt.Fprintf(w, "%d events over %d jobs\n", stats.Records, len(jobs))
 	if stats.TornTail {
 		fmt.Fprintf(w, "note: torn final line %d skipped (writer killed mid-append; repaired on next streamd start)\n", stats.TornLine)
 	}
@@ -82,7 +84,7 @@ func printEvents(w io.Writer, path string) error {
 // the same robust band CompareLedgers uses (MAD-scaled, with a
 // relative floor so quiet histories don't alarm on noise).
 func printTrend(w io.Writer, path string, asJSON bool) error {
-	entries, err := obs.ReadLedger(path)
+	entries, _, err := obs.ReadJSONL[obs.LedgerEntry](path)
 	if err != nil {
 		return err
 	}
@@ -466,7 +468,7 @@ func main() {
 		if inj != nil {
 			entry.FaultTraceHash = obs.Hash(inj.TraceString())
 		}
-		if err := obs.AppendLedger(*ledgerPath, entry); err != nil {
+		if err := obs.AppendJSONL(*ledgerPath, entry); err != nil {
 			fmt.Fprintf(os.Stderr, "streamtrace: %v\n", err)
 			os.Exit(1)
 		}

@@ -51,11 +51,6 @@ type Config struct {
 	// Trace, when non-nil, records every task execution (context,
 	// kind, start/end cycles) for timeline analysis.
 	Trace *Trace
-	// RegularCPIFactor inflates the regular baseline's compute cost
-	// multiplicatively. Left at 1.0 by default (it would prevent the
-	// stream/regular convergence at high arithmetic intensity that the
-	// paper observes); kept for ablations.
-	RegularCPIFactor float64
 	// RegularRefOps charges the regular baseline this many extra
 	// compute ops per memory reference: the address generation, index
 	// arithmetic and loop bookkeeping a scalar gather/scatter loop
@@ -119,7 +114,6 @@ func Defaults() Config {
 		RegularIssue:          1,
 		RegularOverlapCycles:  60,
 		ControlOverheadCycles: 12,
-		RegularCPIFactor:      1.0,
 		RegularRefOps:         2,
 		RetryLimit:            3,
 		WatchdogCycles:        1_500_000,
@@ -684,14 +678,11 @@ func RunRegular(m *sim.Machine, cfg Config, loops ...Loop) Result {
 			if l.AffineRefs != nil {
 				// Declared affine pattern: same iteration scheme, issued
 				// through AccessLoop. The per-iteration compute charge
-				// (CPI factor, then the per-reference op tax) is folded
-				// in up front — Ops is constant for affine loops.
+				// (plus the per-reference op tax) is folded in up front —
+				// Ops is constant for affine loops.
 				var ops int64
 				if l.Ops != nil {
 					if o := l.Ops(0); o > 0 {
-						if cfg.RegularCPIFactor > 1 {
-							o = int64(float64(o) * cfg.RegularCPIFactor)
-						}
 						ops = o + int64(len(l.AffineRefs))*cfg.RegularRefOps
 					}
 				}
@@ -724,9 +715,6 @@ func RunRegular(m *sim.Machine, cfg Config, loops ...Loop) Result {
 						// RegularOverlapCycles of that wait.
 						if readsDone > cfg.RegularOverlapCycles {
 							c.StallUntil(readsDone - cfg.RegularOverlapCycles)
-						}
-						if cfg.RegularCPIFactor > 1 {
-							ops = int64(float64(ops) * cfg.RegularCPIFactor)
 						}
 						c.Compute(ops + refs*cfg.RegularRefOps)
 					}

@@ -26,11 +26,11 @@ func TestLedgerAppendReadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
 	want := []LedgerEntry{sampleEntry("fig5", 100), sampleEntry("fig6", 200)}
 	for _, e := range want {
-		if err := AppendLedger(path, e); err != nil {
+		if err := AppendJSONL(path, e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := ReadLedger(path)
+	got, _, err := ReadJSONL[LedgerEntry](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLedgerReadsFastPathEraRows(t *testing.T) {
 	if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadLedger(path)
+	got, _, err := ReadJSONL[LedgerEntry](path)
 	if err != nil {
 		t.Fatalf("fast-path era rows rejected: %v", err)
 	}
@@ -108,12 +108,10 @@ func TestLedgerCrossVersion(t *testing.T) {
 		t.Fatalf("current schema = %d, want 2", v2.Schema)
 	}
 	path := filepath.Join(t.TempDir(), "mixed.jsonl")
-	for _, e := range []LedgerEntry{v1, v2} {
-		if err := AppendLedger(path, e); err != nil {
-			t.Fatal(err)
-		}
+	if err := AppendJSONL(path, v1, v2); err != nil {
+		t.Fatal(err)
 	}
-	got, err := ReadLedger(path)
+	got, _, err := ReadJSONL[LedgerEntry](path)
 	if err != nil {
 		t.Fatalf("mixed-version ledger rejected: %v", err)
 	}
@@ -132,13 +130,23 @@ func TestLedgerCrossVersion(t *testing.T) {
 	}
 }
 
+// parseLedger reads text as a ledger file.
+func parseLedger(t *testing.T, text string) ([]LedgerEntry, LogStats, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return ReadJSONL[LedgerEntry](path)
+}
+
 func TestLedgerRejectsMalformedLine(t *testing.T) {
 	// Malformed JSON *before* the last line is corruption, not a torn
 	// write, and must still fail with its line number.
-	entries, err := ParseLedger(strings.NewReader(
-		`{"schema":1,"experiment":"fig5","wall_ns":1}` + "\n" +
-			`{"schema":1` + "\n" +
-			`{"schema":1,"experiment":"fig6","wall_ns":2}` + "\n"))
+	entries, _, err := parseLedger(t,
+		`{"schema":1,"experiment":"fig5","wall_ns":1}`+"\n"+
+			`{"schema":1`+"\n"+
+			`{"schema":1,"experiment":"fig6","wall_ns":2}`+"\n")
 	if err == nil {
 		t.Fatal("mid-file malformed line accepted")
 	}
@@ -148,30 +156,29 @@ func TestLedgerRejectsMalformedLine(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("valid prefix lost: %d entries", len(entries))
 	}
-	// A well-formed final line that fails schema validation is also
+	// A committed final line that fails schema validation is also
 	// corruption — torn writes truncate JSON, they don't invent valid
 	// JSON with bad fields.
-	_, err = ParseLedger(strings.NewReader(
-		`{"schema":1,"experiment":"fig5","wall_ns":1}` + "\n" +
-			`{"schema":99,"experiment":"fig6","wall_ns":2}` + "\n"))
+	_, _, err = parseLedger(t,
+		`{"schema":1,"experiment":"fig5","wall_ns":1}`+"\n"+
+			`{"schema":99,"experiment":"fig6","wall_ns":2}`+"\n")
 	if err == nil {
 		t.Fatal("schema-invalid final line accepted")
 	}
 }
 
 // TestLedgerToleratesTornTail: a writer killed mid-append (streamd on
-// SIGKILL) leaves a prefix of the final line. The read must skip it
-// with a counted warning instead of failing the whole file.
+// SIGKILL) leaves a prefix of the final line — at worst the whole
+// record without its newline, which is not yet committed. The read
+// must skip it with a counted warning instead of failing the file.
 func TestLedgerToleratesTornTail(t *testing.T) {
 	full := `{"schema":2,"experiment":"fig5","wall_ns":1}`
-	for cut := 1; cut < len(full); cut++ {
-		torn := full[:cut]
-		entries, stats, err := ParseLedgerStats(strings.NewReader(
-			full + "\n" + full + "\n" + torn))
+	for cut := 1; cut <= len(full); cut++ {
+		entries, stats, err := parseLedger(t, full+"\n"+full+"\n"+full[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: torn tail rejected: %v", cut, err)
 		}
-		if len(entries) != 2 || stats.Entries != 2 {
+		if len(entries) != 2 || stats.Records != 2 {
 			t.Fatalf("cut %d: %d entries, want 2", cut, len(entries))
 		}
 		if !stats.TornTail || stats.TornLine != 3 {
@@ -179,21 +186,19 @@ func TestLedgerToleratesTornTail(t *testing.T) {
 		}
 	}
 	// An intact file reports no torn tail.
-	_, stats, err := ParseLedgerStats(strings.NewReader(full + "\n"))
-	if err != nil || stats.TornTail || stats.Entries != 1 {
+	_, stats, err := parseLedger(t, full+"\n")
+	if err != nil || stats.TornTail || stats.Records != 1 {
 		t.Fatalf("intact file: stats = %+v, err = %v", stats, err)
 	}
 }
 
 // TestLedgerTornTailOnDisk writes a partial record the way a killed
 // streamd would — a valid ledger plus a truncated final line — and
-// checks the whole read/validate/repair path over the actual file.
+// checks the whole read/open/repair/append path over the actual file.
 func TestLedgerTornTailOnDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.jsonl")
-	for _, e := range []LedgerEntry{sampleEntry("a", 1), sampleEntry("b", 2)} {
-		if err := AppendLedger(path, e); err != nil {
-			t.Fatal(err)
-		}
+	if err := AppendJSONL(path, sampleEntry("a", 1), sampleEntry("b", 2)); err != nil {
+		t.Fatal(err)
 	}
 	// Simulate the torn write: start appending a third record but cut
 	// the write partway through (no trailing newline, truncated JSON).
@@ -207,43 +212,34 @@ func TestLedgerTornTailOnDisk(t *testing.T) {
 	}
 	f.Close()
 
-	entries, stats, err := ReadLedgerStats(path)
+	entries, stats, err := ReadJSONL[LedgerEntry](path)
 	if err != nil {
 		t.Fatalf("torn ledger rejected: %v", err)
 	}
 	if len(entries) != 2 || !stats.TornTail || stats.TornLine != 3 {
 		t.Fatalf("entries = %d, stats = %+v", len(entries), stats)
 	}
-	if n, err := ValidateLedgerFile(path); err != nil || n != 2 {
-		t.Fatalf("ValidateLedgerFile = %d, %v", n, err)
-	}
 
-	// RepairLedger truncates the torn tail so appends are safe again.
-	dropped, err := RepairLedger(path)
-	if err != nil || !dropped {
-		t.Fatalf("RepairLedger = %v, %v", dropped, err)
+	// Opening for append truncates the torn tail so appends are safe.
+	l, last, stats, err := OpenJSONL[LedgerEntry](path)
+	if err != nil || !stats.TornTail || last.Experiment != "b" {
+		t.Fatalf("OpenJSONL = last %q, stats %+v, err %v", last.Experiment, stats, err)
 	}
-	if err := AppendLedger(path, sampleEntry("c", 3)); err != nil {
+	if err := l.Append(sampleEntry("c", 3)); err != nil {
 		t.Fatal(err)
 	}
-	entries, stats, err = ReadLedgerStats(path)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, stats, err = ReadJSONL[LedgerEntry](path)
 	if err != nil || stats.TornTail || len(entries) != 3 {
 		t.Fatalf("after repair+append: %d entries, stats = %+v, err = %v", len(entries), stats, err)
 	}
-	if dropped, err := RepairLedger(path); err != nil || dropped {
-		t.Fatalf("RepairLedger on clean file = %v, %v", dropped, err)
+	l, _, stats, err = OpenJSONL[LedgerEntry](path)
+	if err != nil || stats.TornTail {
+		t.Fatalf("reopening a clean file: stats = %+v, err = %v", stats, err)
 	}
-}
-
-func TestWriteLedgerAndValidateFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.jsonl")
-	if err := WriteLedger(path, []LedgerEntry{sampleEntry("a", 1), sampleEntry("b", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ValidateLedgerFile(path)
-	if err != nil || n != 2 {
-		t.Fatalf("ValidateLedgerFile = %d, %v", n, err)
-	}
+	l.Close()
 }
 
 func TestHashStable(t *testing.T) {

@@ -93,7 +93,7 @@ func trendValue(e *LedgerEntry, label string) (float64, bool) {
 	}
 }
 
-// TrendReport rolls entries (oldest first, as ReadLedger returns them)
+// TrendReport rolls entries (oldest first, as ReadJSONL returns them)
 // up into one row per experiment, sorted by experiment name. The
 // newest run of each series is compared against the history's median ±
 // max(MinRelative·median, MADFactor·MAD); outside that band it is

@@ -13,24 +13,18 @@ type cache struct {
 	max     int
 	entries map[string]*artifacts
 	order   []string // insertion order, for eviction
-	hits    uint64
-	misses  uint64
 }
 
 func newCache(max int) *cache {
 	return &cache{max: max, entries: make(map[string]*artifacts)}
 }
 
-// get returns the cached artifacts for key, counting the hit or miss.
+// get returns the cached artifacts for key. Hits and misses are
+// counted by the server, at the job transitions they cause.
 func (c *cache) get(key string) (*artifacts, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.entries[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
 	return a, ok
 }
 
@@ -52,9 +46,9 @@ func (c *cache) put(key string, a *artifacts) {
 	c.order = append(c.order, key)
 }
 
-// stats returns hit/miss counters and the resident entry count.
-func (c *cache) stats() (hits, misses uint64, size int) {
+// len returns the resident entry count.
+func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
+	return len(c.entries)
 }

@@ -1,22 +1,19 @@
 package streamd
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
+
+	"streamgpp/internal/obs"
 )
 
 // This file is the job lifecycle event log: one structured record per
 // state-machine edge, kept in memory for GET /jobs/{id}/events and
-// appended as JSONL next to the run ledger so a crashed server's last
-// moments are reconstructable. The format follows the ledger's
-// crash-consistency discipline exactly — whole-line appends, torn
-// final line tolerated on read, repaired before reopening for append
-// (DESIGN.md §16).
+// appended next to the run ledger so a crashed server's last moments
+// are reconstructable. The file is an obs.JSONL log, so it shares the
+// ledger's format and crash policy (DESIGN.md §11, §16); read it with
+// obs.ReadJSONL[Event].
 
 // The event types, in the order a job can emit them. A cache-hit job
 // goes submit → admit → terminal (no start); a shed job likewise.
@@ -60,8 +57,8 @@ type Event struct {
 	Error *JobError `json:"error,omitempty"`
 }
 
-// validate rejects records that cannot have been written by this log.
-func (e *Event) validate() error {
+// Validate rejects records that cannot have been written by this log.
+func (e Event) Validate() error {
 	if e.Job == "" {
 		return fmt.Errorf("streamd: event seq %d without a job ID", e.Seq)
 	}
@@ -87,75 +84,31 @@ const (
 )
 
 // eventLog is the in-process log: an in-memory per-job index serving
-// GET /jobs/{id}/events plus an optional JSONL append file. Appends
-// are whole-line single writes, so a crash leaves at most one torn
-// final line — the same recoverable artifact the ledger leaves.
+// GET /jobs/{id}/events plus an optional JSONL append file.
 type eventLog struct {
 	mu      sync.Mutex
-	f       *os.File // nil when persistence is disabled
+	f       *obs.JSONL[Event] // nil when persistence is disabled or closed
 	start   time.Time
 	seq     uint64
 	byJob   map[string][]Event
 	errs    uint64 // append write failures (events dropped from the file, never from memory)
 	evicted uint64 // events aged out of the in-memory index (never from the file)
-	closed  bool
 }
 
-// newEventLog opens the log. A non-empty path enables persistence:
-// an existing file is repaired (torn tail truncated) before appending
-// — appending after a torn line would glue two records together and
-// turn a recoverable crash artifact into corruption — and Seq resumes
-// after the highest persisted value.
+// newEventLog opens the log. A non-empty path enables persistence
+// through obs.OpenJSONL, which truncates a torn tail before the first
+// append; Seq resumes after the last committed event.
 func newEventLog(path string) (*eventLog, error) {
 	l := &eventLog{start: time.Now(), byJob: make(map[string][]Event)}
 	if path == "" {
 		return l, nil
 	}
-	if _, err := os.Stat(path); err == nil {
-		old, stats, err := ReadEvents(path)
-		if err != nil {
-			return nil, fmt.Errorf("streamd: event log %s unusable: %w", path, err)
-		}
-		if len(old) > 0 {
-			l.seq = old[len(old)-1].Seq
-		}
-		if stats.TornTail {
-			if err := rewriteEvents(path, old); err != nil {
-				return nil, err
-			}
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, last, _, err := obs.OpenJSONL[Event](path)
 	if err != nil {
-		return nil, fmt.Errorf("streamd: opening event log: %w", err)
+		return nil, fmt.Errorf("streamd: event log unusable: %w", err)
 	}
-	l.f = f
+	l.f, l.seq = f, last.Seq
 	return l, nil
-}
-
-// rewriteEvents replaces the file with only its valid entries.
-func rewriteEvents(path string, events []Event) error {
-	tmp := path + ".repair"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("streamd: repairing event log: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			f.Close()
-			return fmt.Errorf("streamd: repairing event log: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("streamd: repairing event log: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("streamd: repairing event log: %w", err)
-	}
-	return os.Rename(tmp, path)
 }
 
 // append stamps and records one event. The write failure mode is
@@ -179,15 +132,7 @@ func (l *eventLog) append(e Event) {
 		l.evicted++
 	}
 	l.byJob[e.Job] = hist
-	if l.f == nil || l.closed {
-		return
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		l.errs++
-		return
-	}
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
+	if l.f != nil && l.f.Append(e) != nil {
 		l.errs++
 	}
 }
@@ -208,86 +153,15 @@ func (l *eventLog) dropped() uint64 {
 	return l.errs
 }
 
-// closeFile stops persistence (called from Drain, after the last
-// worker exits — no event can follow it).
+// closeFile syncs and closes the file (called from Drain, after the
+// last worker exits — no event can follow it).
 func (l *eventLog) closeFile() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.closed = true
 	if l.f == nil {
 		return nil
 	}
 	err := l.f.Close()
 	l.f = nil
 	return err
-}
-
-// EventStats reports what a lenient event-log read encountered.
-type EventStats struct {
-	Events int // valid events read
-	Jobs   int // distinct job IDs seen
-	// TornTail is true when the final line was unparseable — the
-	// torn-write signature of a writer killed mid-append — and was
-	// skipped; TornLine is its 1-based line number.
-	TornTail bool
-	TornLine int
-}
-
-// ReadEvents parses the JSONL event log at path, oldest first. The
-// tolerance contract matches obs.ReadLedgerStats: a malformed *final*
-// line is the torn-write signature of a writer killed mid-append and
-// is skipped (reported in stats); malformed JSON anywhere earlier, or
-// a well-formed record failing validation, is corruption and fails.
-func ReadEvents(path string) ([]Event, EventStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, EventStats{}, fmt.Errorf("streamd: opening event log: %w", err)
-	}
-	defer f.Close()
-	return ParseEvents(f)
-}
-
-// ParseEvents is ReadEvents over an io.Reader.
-func ParseEvents(r io.Reader) ([]Event, EventStats, error) {
-	var out []Event
-	var stats EventStats
-	jobs := make(map[string]bool)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineno := 0
-	// A parse failure is held pending until we know whether more
-	// content follows: at EOF it is a tolerated torn tail, mid-file it
-	// is corruption.
-	var pendingErr error
-	pendingLine := 0
-	for sc.Scan() {
-		lineno++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return out, stats, fmt.Errorf("streamd: event log line %d: %w", pendingLine, pendingErr)
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			pendingErr, pendingLine = err, lineno
-			continue
-		}
-		if err := e.validate(); err != nil {
-			return out, stats, fmt.Errorf("streamd: event log line %d: %w", lineno, err)
-		}
-		out = append(out, e)
-		jobs[e.Job] = true
-	}
-	if err := sc.Err(); err != nil {
-		return out, stats, fmt.Errorf("streamd: reading event log: %w", err)
-	}
-	if pendingErr != nil {
-		stats.TornTail = true
-		stats.TornLine = pendingLine
-	}
-	stats.Events = len(out)
-	stats.Jobs = len(jobs)
-	return out, stats, nil
 }

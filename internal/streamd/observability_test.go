@@ -99,12 +99,12 @@ func TestEventLogLifecycle(t *testing.T) {
 
 	// Drain closes the file; the JSONL must round-trip completely.
 	s.Drain()
-	all, stats, err := ReadEvents(eventsPath)
+	all, stats, err := obs.ReadJSONL[Event](eventsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TornTail || stats.Events != 7 || stats.Jobs != 2 {
-		t.Fatalf("persisted log stats %+v, want 7 events over 2 jobs, no torn tail", stats)
+	if stats.TornTail || stats.Records != 7 || jobCount(all) != 2 {
+		t.Fatalf("persisted log stats %+v over %d jobs, want 7 events over 2 jobs, no torn tail", stats, jobCount(all))
 	}
 	lastSeq := all[len(all)-1].Seq
 
@@ -117,11 +117,11 @@ func TestEventLogLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	_, stats, err = ReadEvents(eventsPath)
+	_, stats, err = obs.ReadJSONL[Event](eventsPath)
 	if err != nil {
 		t.Fatalf("torn tail must not fail the read: %v", err)
 	}
-	if !stats.TornTail || stats.Events != 7 {
+	if !stats.TornTail || stats.Records != 7 {
 		t.Fatalf("after tearing: stats %+v, want TornTail with 7 events", stats)
 	}
 
@@ -135,7 +135,7 @@ func TestEventLogLifecycle(t *testing.T) {
 	if err := l.closeFile(); err != nil {
 		t.Fatal(err)
 	}
-	all, stats, err = ReadEvents(eventsPath)
+	all, stats, err = obs.ReadJSONL[Event](eventsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,26 @@ func TestEventLogLifecycle(t *testing.T) {
 		t.Fatalf("seq after reopen = %d, want %d (continue, never reuse)", got, lastSeq+1)
 	}
 
-	// Mid-file garbage is corruption, not a torn write: hard error.
-	if _, _, err := ParseEvents(strings.NewReader("{garbage\n" + `{"seq":1,"job":"j","type":"submit"}` + "\n")); err == nil {
-		t.Fatal("mid-file corruption was silently tolerated")
+	// Mid-file garbage is corruption, not a torn write: hard error, and
+	// the server refuses to start on it.
+	if err := os.WriteFile(eventsPath, []byte("{garbage\n"+`{"seq":1,"job":"j","type":"submit"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	if _, _, err := obs.ReadJSONL[Event](eventsPath); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("mid-file corruption: err = %v, want an error naming line 1", err)
+	}
+	if _, err := New(Options{EventsPath: eventsPath}); err == nil {
+		t.Fatal("server started on a corrupt event log")
+	}
+}
+
+// jobCount returns the number of distinct job IDs in events.
+func jobCount(events []Event) int {
+	jobs := make(map[string]bool)
+	for _, e := range events {
+		jobs[e.Job] = true
+	}
+	return len(jobs)
 }
 
 // The in-memory per-job index is capped: a fault-storm job emitting
@@ -195,13 +211,13 @@ func TestEventLogInMemoryCap(t *testing.T) {
 	}
 
 	// The file is exempt from the cap: every event persists.
-	all, stats, err := ReadEvents(path)
+	all, stats, err := obs.ReadJSONL[Event](path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Events != total || all[len(all)-1].Type != EventTerminal {
+	if stats.Records != total || all[len(all)-1].Type != EventTerminal {
 		t.Fatalf("persisted %d events (last %q), want the full %d ending in terminal",
-			stats.Events, all[len(all)-1].Type, total)
+			stats.Records, all[len(all)-1].Type, total)
 	}
 }
 

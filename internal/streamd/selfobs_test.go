@@ -230,11 +230,11 @@ func TestEventsTornTailMultibyteRune(t *testing.T) {
 	}
 	f.Close()
 
-	events, stats, err := ReadEvents(path)
+	events, stats, err := obs.ReadJSONL[Event](path)
 	if err != nil {
 		t.Fatalf("mid-rune torn tail must not fail the read: %v", err)
 	}
-	if !stats.TornTail || stats.Events != 1 {
+	if !stats.TornTail || stats.Records != 1 {
 		t.Fatalf("stats %+v, want TornTail with 1 surviving event", stats)
 	}
 	if events[0].Job != "job-1" {
@@ -250,11 +250,11 @@ func TestEventsTornTailMultibyteRune(t *testing.T) {
 	if err := l2.closeFile(); err != nil {
 		t.Fatal(err)
 	}
-	events, stats, err = ReadEvents(path)
+	events, stats, err = obs.ReadJSONL[Event](path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TornTail || stats.Events != 2 {
+	if stats.TornTail || stats.Records != 2 {
 		t.Fatalf("after repair: stats %+v, want 2 events and no torn tail", stats)
 	}
 	if events[1].Job != "job-2" || events[1].Seq <= events[0].Seq {

@@ -263,7 +263,7 @@ func TestSoak(t *testing.T) {
 
 	// The ledger survived the drain valid, with one entry per fresh
 	// completed run.
-	entries, lstats, err := obs.ReadLedgerStats(ledger)
+	entries, lstats, err := obs.ReadJSONL[obs.LedgerEntry](ledger)
 	if err != nil {
 		t.Fatalf("post-soak ledger: %v", err)
 	}

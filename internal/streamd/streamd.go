@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"sync"
 	"time"
 
@@ -47,14 +46,15 @@ type Options struct {
 	MaxN int
 	// LedgerPath, when non-empty, appends one obs ledger entry per
 	// fresh (non-cached) completed run. The file is repaired at
-	// startup if a previous process died mid-append (torn tail).
+	// startup if a previous process died mid-append (torn tail) and
+	// synced and closed at Drain.
 	LedgerPath string
 	// EventsPath, when non-empty, persists the job lifecycle event log
 	// (JSONL, one record per state transition) at that path. Defaults
 	// to LedgerPath+".events" when a ledger is configured; with
 	// neither, events are held in memory only (still served at
-	// GET /jobs/{id}/events). Like the ledger, an existing file is
-	// repaired at startup if its final line was torn.
+	// GET /jobs/{id}/events). It is the same kind of obs.JSONL log as
+	// the ledger, repaired at startup and closed at Drain the same way.
 	EventsPath string
 	// BaseFaultSeed seeds per-job fault derivation for specs that do
 	// not carry their own (default 1).
@@ -116,7 +116,9 @@ func DefaultSLOs() []obs.SLOObjective {
 	}
 }
 
-// Stats is a snapshot of the server's counters, served at /statz.
+// Stats is a snapshot of the server's counters, served at /statz. The
+// job, cache and ledger counts are read from the /metricz registry, so
+// the two endpoints cannot disagree.
 type Stats struct {
 	UptimeSec      float64        `json:"uptime_sec"`
 	Accepted       uint64         `json:"accepted"`
@@ -139,8 +141,7 @@ type Stats struct {
 	EventsDropped  uint64         `json:"events_dropped,omitempty"`
 	// BuildInfo is the process's build identity (Go version, VCS
 	// revision) — the /statz twin of the streamd_build_info gauge.
-	BuildInfo       map[string]string `json:"build_info,omitempty"`
-	RepairedAtStart bool              `json:"-"`
+	BuildInfo map[string]string `json:"build_info,omitempty"`
 }
 
 // Server is the streamd job service.
@@ -151,6 +152,7 @@ type Server struct {
 	start     time.Time
 	reg       *obs.Registry // /metricz instruments
 	events    *eventLog
+	ledger    *obs.JSONL[obs.LedgerEntry] // nil without Options.LedgerPath
 	log       *slog.Logger
 	rt        *obs.RuntimeCollector
 	buildInfo map[string]string
@@ -162,10 +164,9 @@ type Server struct {
 	jobs        map[string]*Job
 	draining    bool
 	nextID      uint64
-	stats       Stats
 	stateCounts map[State]int // live jobs per state (terminal states accumulate)
 
-	ledgerMu sync.Mutex // serialises ledger appends
+	ledgerTornTail bool // the ledger's torn tail was truncated at startup
 
 	workers sync.WaitGroup
 	// run executes one job spec; tests substitute it to script
@@ -174,9 +175,9 @@ type Server struct {
 	run func(ctx context.Context, spec JobSpec, canonical, key string, baseFaultSeed uint64, progress func(exec.ProgressFrame)) (*artifacts, error)
 }
 
-// New builds and starts a server: the ledger is repaired if a previous
-// process tore its final line, and the worker pool is running on
-// return.
+// New builds and starts a server: the ledger and event log are opened
+// for appends (each repaired if a previous process tore its final
+// line), and the worker pool is running on return.
 func New(opts Options) (*Server, error) {
 	opts.setDefaults()
 	s := &Server{
@@ -191,7 +192,6 @@ func New(opts Options) (*Server, error) {
 		log:         opts.Logger,
 		buildInfo:   obs.BuildInfoLabels(),
 	}
-	s.stats.Workers = opts.Workers
 	s.rt = obs.NewRuntimeCollector(s.reg)
 	s.slo = obs.NewSLOEngine(s.start, opts.SLOs)
 	s.reg.Info("streamd.build_info", s.buildInfo)
@@ -201,14 +201,12 @@ func New(opts Options) (*Server, error) {
 	}
 	s.events = events
 	if opts.LedgerPath != "" {
-		if _, err := os.Stat(opts.LedgerPath); err == nil {
-			repaired, err := obs.RepairLedger(opts.LedgerPath)
-			if err != nil {
-				return nil, fmt.Errorf("streamd: ledger %s unusable: %w", opts.LedgerPath, err)
-			}
-			s.stats.RepairedAtStart = repaired
-			s.stats.LedgerTornTail = repaired
+		ledger, _, stats, err := obs.OpenJSONL[obs.LedgerEntry](opts.LedgerPath)
+		if err != nil {
+			events.closeFile()
+			return nil, fmt.Errorf("streamd: ledger unusable: %w", err)
 		}
+		s.ledger, s.ledgerTornTail = ledger, stats.TornTail
 	}
 	s.workers.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
@@ -232,7 +230,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.stats.RejectedDrain++
 		s.reg.Counter("streamd.jobs_rejected_draining").Inc()
 		s.log.Warn("job", "event", "reject", "reason", "draining",
 			"app", spec.App, "config_hash", key)
@@ -253,7 +250,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	case s.queue <- job:
 	default:
 		job.cancel()
-		s.stats.RejectedFull++
 		s.reg.Counter("streamd.jobs_rejected_full").Inc()
 		s.events.append(Event{Job: job.ID, Type: EventReject, App: spec.App, Key: key})
 		s.log.Warn("job", "job_id", job.ID, "event", "reject", "reason", "full",
@@ -261,7 +257,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		return nil, ErrFull
 	}
 	s.jobs[job.ID] = job
-	s.stats.Accepted++
 	s.reg.Counter("streamd.jobs_accepted").Inc()
 	s.log.Info("job", "job_id", job.ID, "event", "submit", "state", string(StateQueued),
 		"app", spec.App, "config_hash", key)
@@ -374,11 +369,10 @@ func (s *Server) Draining() bool {
 }
 
 // Drain stops admission and waits until every accepted job has reached
-// a terminal state. Safe to call more than once and from multiple
-// goroutines; all callers return once the pool is idle. The ledger
-// needs no separate flush: entries are appended (and synced by the OS)
-// per run, so after Drain the file is a complete, valid JSONL record
-// of every fresh run.
+// a terminal state, then syncs and closes the ledger and the event log
+// — their one fsync each; appends are not synced one by one. Safe to
+// call more than once and from multiple goroutines; all callers return
+// once the pool is idle and the files are closed.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if !s.draining {
@@ -387,15 +381,41 @@ func (s *Server) Drain() {
 	}
 	s.mu.Unlock()
 	s.workers.Wait()
-	// Every worker has exited, so no event can follow: the JSONL event
-	// log is complete and its tail line whole.
-	s.events.closeFile()
+	// Every worker has exited, so no event or ledger entry can follow:
+	// both files are complete and their tail lines whole.
+	if err := s.events.closeFile(); err != nil {
+		s.log.Error("closing event log", "error", err.Error())
+	}
+	if s.ledger != nil {
+		if err := s.ledger.Close(); err != nil {
+			s.log.Error("closing ledger", "error", err.Error())
+		}
+	}
 }
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
+	count := func(name string) uint64 { return s.reg.Counter(name).Value() }
+	st := Stats{
+		UptimeSec:      time.Since(s.start).Seconds(),
+		Accepted:       count("streamd.jobs_accepted"),
+		RejectedFull:   count("streamd.jobs_rejected_full"),
+		RejectedDrain:  count("streamd.jobs_rejected_draining"),
+		Done:           count("streamd.jobs_done"),
+		Failed:         count("streamd.jobs_failed"),
+		TimedOut:       count("streamd.jobs_timed_out"),
+		Shed:           count("streamd.jobs_shed"),
+		Panics:         count("streamd.panics"),
+		CacheHits:      count("streamd.cache.hits"),
+		CacheMisses:    count("streamd.cache.misses"),
+		CacheEntries:   s.cache.len(),
+		Workers:        s.opts.Workers,
+		LedgerEntries:  count("streamd.ledger.entries"),
+		LedgerTornTail: s.ledgerTornTail,
+		EventsDropped:  s.events.dropped(),
+		BuildInfo:      s.buildInfo,
+	}
 	s.mu.Lock()
-	st := s.stats
 	st.Draining = s.draining
 	st.QueueDepth = len(s.queue)
 	st.JobsByState = make(map[string]int, len(s.stateCounts))
@@ -405,10 +425,6 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	s.mu.Unlock()
-	st.UptimeSec = time.Since(s.start).Seconds()
-	st.CacheHits, st.CacheMisses, st.CacheEntries = s.cache.stats()
-	st.EventsDropped = s.events.dropped()
-	st.BuildInfo = s.buildInfo
 	return st
 }
 
@@ -480,37 +496,17 @@ func (s *Server) worker() {
 	}
 }
 
-// count bumps one terminal-state counter.
-func (s *Server) count(st State, panicked bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch st {
-	case StateDone:
-		s.stats.Done++
-	case StateFailed:
-		s.stats.Failed++
-	case StateTimedOut:
-		s.stats.TimedOut++
-	case StateShed:
-		s.stats.Shed++
-	}
-	if panicked {
-		s.stats.Panics++
-		s.reg.Counter("streamd.panics").Inc()
-	}
-}
-
 // runJob takes one accepted job to a terminal state. Panics are
 // isolated here: a crashing run marks its job failed and the worker
 // (and server) live on.
 func (s *Server) runJob(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
+			s.reg.Counter("streamd.panics").Inc()
 			j.finish(StateFailed, nil, false, &JobError{
 				Op: "panic", Phase: -1, Strip: -1,
 				Message: fmt.Sprintf("job worker panic: %v", r),
 			})
-			s.count(StateFailed, true)
 		}
 	}()
 
@@ -525,7 +521,6 @@ func (s *Server) runJob(j *Job) {
 			Message:  "deadline expired while queued: " + err.Error(),
 			TimedOut: errors.Is(err, context.DeadlineExceeded),
 		})
-		s.count(StateShed, false)
 		return
 	}
 
@@ -533,7 +528,6 @@ func (s *Server) runJob(j *Job) {
 	// bytes this run would have produced.
 	if a, ok := s.cache.get(j.Key); ok {
 		j.finish(StateDone, a, true, nil)
-		s.count(StateDone, false)
 		return
 	}
 
@@ -563,19 +557,16 @@ func (s *Server) runJob(j *Job) {
 			st = StateTimedOut
 		}
 		j.finish(st, nil, false, je)
-		s.count(st, false)
 		return
 	}
 	s.cache.put(j.Key, a)
 	j.finish(StateDone, a, false, nil)
-	s.count(StateDone, false)
 	s.appendLedger(j, a, wall)
 }
 
-// appendLedger records one fresh run. Serialised: concurrent workers
-// must not interleave appends to the JSONL file.
+// appendLedger records one fresh run.
 func (s *Server) appendLedger(j *Job, a *artifacts, wall time.Duration) {
-	if s.opts.LedgerPath == "" {
+	if s.ledger == nil {
 		return
 	}
 	entry := obs.LedgerEntry{
@@ -595,16 +586,10 @@ func (s *Server) appendLedger(j *Job, a *artifacts, wall time.Duration) {
 	if wall > 0 {
 		entry.SimCyclesPerSec = float64(a.simCycles) / wall.Seconds()
 	}
-	s.ledgerMu.Lock()
-	err := obs.AppendLedger(s.opts.LedgerPath, entry)
-	s.ledgerMu.Unlock()
 	// A ledger append failure must not fail the job: the result is
 	// already computed and cached. Successful appends are counted so
 	// /statz (and the drain smoke) can cross-check the file.
-	if err == nil {
-		s.mu.Lock()
-		s.stats.LedgerEntries++
-		s.mu.Unlock()
+	if s.ledger.Append(entry) == nil {
 		s.reg.Counter("streamd.ledger.entries").Inc()
 	}
 }

@@ -549,7 +549,7 @@ func TestLedgerWriteAndStartupRepair(t *testing.T) {
 	fetchResult(t, hs, body2["id"].(string))
 	s.Drain()
 
-	entries, stats, err := obs.ReadLedgerStats(path)
+	entries, stats, err := obs.ReadJSONL[obs.LedgerEntry](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +577,7 @@ func TestLedgerWriteAndStartupRepair(t *testing.T) {
 	if !s2.Stats().LedgerTornTail {
 		t.Error("startup repair not reported in stats")
 	}
-	entries2, stats2, err := obs.ReadLedgerStats(path)
+	entries2, stats2, err := obs.ReadJSONL[obs.LedgerEntry](path)
 	if err != nil || len(entries2) != 1 || stats2.TornTail {
 		t.Fatalf("repaired ledger: %d entries, torn=%v, err=%v", len(entries2), stats2.TornTail, err)
 	}

@@ -2,8 +2,9 @@
 # Repo health check: vet, build, full tests, the race detector over
 # the instrumented packages (wq, exec, obs, svm) plus the parallel
 # experiment runner, the fault matrix, a smoke of the run-ledger schema
-# and the regression gate (a clean re-run must pass, a synthetically
-# slowed run must fail), a smoke of the critical-path profiler and the
+# (including the checked-in BENCH_history.jsonl) and the regression
+# gate (a clean re-run must pass, a synthetically slowed run must
+# fail), a smoke of the critical-path profiler and the
 # what-if cross-check (identity exact, kernel speedup within the gate
 # tolerance), the streamd job-service
 # lifecycle selftest (cache hit byte-identity, mid-run SSE progress,
@@ -87,6 +88,9 @@ fi
 # ...and streamtrace's ledger entries share the same schema.
 /tmp/streamtrace.check -app quickstart -n 50000 -ledger "$GATE_BASE" >/dev/null
 /tmp/streambench.check -validate "$GATE_BASE"
+# scripts/bench.sh appends to the checked-in history with awk, the one
+# writer of the ledger format outside Go: its rows must validate too.
+/tmp/streambench.check -validate BENCH_history.jsonl
 
 echo "== critical-path + what-if smoke =="
 # The profiler must attribute the quickstart makespan...
