@@ -8,14 +8,12 @@
 //	streambench -exp fig9
 //	streambench -exp all -quick -parallel 8
 //	streambench -exp quickstart -quick -ledger BENCH_history.jsonl
-//	streambench -exp quickstart -quick -compare baseline.jsonl
 //	streambench -validate BENCH_history.jsonl
 //
 // With -ledger, every experiment appends one JSONL entry — wall-clock,
 // simulated cycles, metrics snapshot, config and commit — to the named
-// run ledger. With -compare, the run's wall-clock medians are gated
-// against a baseline ledger by the noise-aware regression gate; a
-// confirmed regression renders a verdict table and exits non-zero.
+// run ledger; streamtrace -trend rolls a ledger up into per-experiment
+// history.
 package main
 
 import (
@@ -46,12 +44,9 @@ func main() {
 	faultSpec := flag.String("fault", "", "fault injection spec: kind:rate[,kind:rate...] or all:rate")
 	faultSeed := flag.Uint64("faultseed", 1, "fault schedule seed (same seed replays the identical fault trace)")
 	ledgerPath := flag.String("ledger", "", "append one run-ledger JSONL entry per experiment to this file")
-	compare := flag.String("compare", "", "baseline run-ledger JSONL: gate this run's wall-clock against it (exit 3 on regression)")
-	repeat := flag.Int("repeat", 3, "timed repetitions per experiment in -ledger/-compare mode")
 	validate := flag.String("validate", "", "validate the run-ledger file at this path and exit")
 	whatif := flag.String("whatif", "",
 		"what-if scenarios over the quickstart workload, e.g. 'ident,dram=0.5,kernel=1.25,strip=0.5,1ctx': predict each analytically on the frozen task DAG, re-run the simulator with the knob changed, and cross-check (exit 3 on disagreement)")
-	slowdown := flag.Float64("slowdown", 1.0, "multiply recorded wall-clock by this factor (regression-gate self-test)")
 	commit := flag.String("commit", "", "commit id to record in ledger entries (e.g. git describe --always)")
 	flag.Parse()
 
@@ -132,10 +127,9 @@ func main() {
 		return
 	}
 
-	if *ledgerPath != "" || *compare != "" {
+	if *ledgerPath != "" {
 		runMeasured(measureOpts{
-			exp: *exp, quick: *quick, repeat: *repeat, slowdown: *slowdown,
-			ledger: *ledgerPath, compare: *compare, commit: *commit,
+			exp: *exp, quick: *quick, ledger: *ledgerPath, commit: *commit,
 			machineDesc: m.Describe(), fail: fail, fatal: fatal,
 		})
 		return
@@ -182,7 +176,7 @@ func main() {
 // runWhatIf is the -whatif mode: cross-checked counterfactuals over
 // the quickstart workload, with one ledger entry per scenario when
 // -ledger is given. A gated scenario whose analytical and empirical
-// deltas disagree exits 3, like the regression gate.
+// deltas disagree exits 3.
 func runWhatIf(spec string, quick bool, ledgerPath, commit, machineDesc string, fatal func(error)) {
 	specs, err := bench.ParseWhatIf(spec)
 	if err != nil {
@@ -247,14 +241,11 @@ func runWhatIf(spec string, quick bool, ledgerPath, commit, machineDesc string, 
 	}
 }
 
-// measureOpts parameterises a -ledger/-compare run.
+// measureOpts parameterises a -ledger run.
 type measureOpts struct {
 	exp         string
 	quick       bool
-	repeat      int
-	slowdown    float64
 	ledger      string
-	compare     string
 	commit      string
 	machineDesc string
 	fail        func(id string, err error)
@@ -277,18 +268,14 @@ func selectExperiments(expFlag string) ([]bench.Experiment, error) {
 	return out, nil
 }
 
-// runMeasured is the -ledger/-compare mode: each experiment runs
-// repeat times under wall-clock timing with a shared metrics registry,
-// producing ledger entries that are appended (-ledger) and/or gated
-// against a baseline (-compare).
+// runMeasured is the -ledger mode: each experiment runs once untimed
+// and once under wall-clock timing with a shared metrics registry, and
+// the timed run's ledger entry is appended to the ledger.
 func runMeasured(o measureOpts) {
 	exps, err := selectExperiments(o.exp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "streambench: %v\n", err)
 		os.Exit(2)
-	}
-	if o.repeat < 1 {
-		o.repeat = 1
 	}
 
 	// One registry for all machines: per-experiment metrics come out as
@@ -301,71 +288,44 @@ func runMeasured(o measureOpts) {
 	for _, e := range exps {
 		// One untimed warm-up run per experiment keeps one-off costs —
 		// page faults, allocator growth, branch warm-up — out of the
-		// timed samples; without it the baseline session reads slower
-		// than any later session and the gate's thresholds skew.
+		// timed sample; without it the first experiment reads slower
+		// than any later one.
 		if err := e.Run(io.Discard, o.quick); err != nil {
 			o.fail(e.ID, err)
 		}
-		for rep := 0; rep < o.repeat; rep++ {
-			var buf bytes.Buffer
-			w := io.Writer(&buf)
-			if rep == 0 {
-				// The paper tables print once; repetitions are timing-only
-				// (their output is byte-identical by construction).
-				w = io.MultiWriter(os.Stdout, &buf)
-			}
-			pre := reg.Snapshot()
-			t0 := time.Now()
-			runErr := e.Run(w, o.quick)
-			wall := time.Since(t0).Nanoseconds()
-			if runErr != nil {
-				o.fail(e.ID, runErr)
-			}
-			delta := reg.Snapshot().Delta(pre)
-			wall = int64(float64(wall) * o.slowdown)
-			simCycles := uint64(delta["sim.run_cycles_total"].Value)
-			entry := obs.LedgerEntry{
-				Schema:     obs.LedgerSchema,
-				Time:       time.Now().UTC().Format(time.RFC3339),
-				Experiment: e.ID,
-				Config:     o.machineDesc,
-				ConfigHash: obs.Hash(o.machineDesc, fmt.Sprintf("quick=%v", o.quick)),
-				Commit:     o.commit,
-				Quick:      o.quick,
-				Parallel:   bench.Parallelism,
-				WallNs:     wall,
-				SimCycles:  simCycles,
-				OutputHash: obs.Hash(buf.String()),
-				Metrics:    obs.FlattenSnapshot(delta),
-				Source:     "streambench",
-			}
-			if wall > 0 {
-				entry.SimCyclesPerSec = float64(simCycles) / (float64(wall) / 1e9)
-			}
-			entries = append(entries, entry)
+		var buf bytes.Buffer
+		pre := reg.Snapshot()
+		t0 := time.Now()
+		runErr := e.Run(io.MultiWriter(os.Stdout, &buf), o.quick)
+		wall := time.Since(t0).Nanoseconds()
+		if runErr != nil {
+			o.fail(e.ID, runErr)
 		}
+		delta := reg.Snapshot().Delta(pre)
+		simCycles := uint64(delta["sim.run_cycles_total"].Value)
+		entry := obs.LedgerEntry{
+			Schema:     obs.LedgerSchema,
+			Time:       time.Now().UTC().Format(time.RFC3339),
+			Experiment: e.ID,
+			Config:     o.machineDesc,
+			ConfigHash: obs.Hash(o.machineDesc, fmt.Sprintf("quick=%v", o.quick)),
+			Commit:     o.commit,
+			Quick:      o.quick,
+			Parallel:   bench.Parallelism,
+			WallNs:     wall,
+			SimCycles:  simCycles,
+			OutputHash: obs.Hash(buf.String()),
+			Metrics:    obs.FlattenSnapshot(delta),
+			Source:     "streambench",
+		}
+		if wall > 0 {
+			entry.SimCyclesPerSec = float64(simCycles) / (float64(wall) / 1e9)
+		}
+		entries = append(entries, entry)
 	}
 
-	if o.ledger != "" {
-		if err := obs.AppendJSONL(o.ledger, entries...); err != nil {
-			o.fatal(err)
-		}
-		fmt.Printf("\nappended %d ledger entries to %s\n", len(entries), o.ledger)
+	if err := obs.AppendJSONL(o.ledger, entries...); err != nil {
+		o.fatal(err)
 	}
-
-	if o.compare != "" {
-		baseline, _, err := obs.ReadJSONL[obs.LedgerEntry](o.compare)
-		if err != nil {
-			o.fatal(err)
-		}
-		rep := obs.CompareLedgers(baseline, entries, obs.DefaultGateOptions())
-		fmt.Printf("\nregression gate vs %s (%d baseline entries, %d current runs):\n",
-			o.compare, len(baseline), len(entries))
-		rep.Render(os.Stdout)
-		if rep.Regressed {
-			fmt.Fprintln(os.Stderr, "streambench: performance regression detected")
-			os.Exit(3)
-		}
-		fmt.Println("no regression detected")
-	}
+	fmt.Printf("\nappended %d ledger entries to %s\n", len(entries), o.ledger)
 }

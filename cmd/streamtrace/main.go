@@ -79,16 +79,16 @@ func printEvents(w io.Writer, path string) error {
 }
 
 // printTrend rolls a run ledger up into per-experiment trend rows —
-// wall time and simulated throughput against
-// their run history — flagging the latest run when it sits outside
-// the same robust band CompareLedgers uses (MAD-scaled, with a
-// relative floor so quiet histories don't alarm on noise).
+// wall time and simulated throughput against their run history —
+// flagging the latest run when it sits outside a robust noise band
+// (MAD-scaled, with a relative floor so quiet histories don't alarm on
+// noise).
 func printTrend(w io.Writer, path string, asJSON bool) error {
 	entries, _, err := obs.ReadJSONL[obs.LedgerEntry](path)
 	if err != nil {
 		return err
 	}
-	rows := obs.TrendReport(entries, obs.DefaultTrendOptions())
+	rows := obs.TrendReport(entries)
 	if asJSON {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

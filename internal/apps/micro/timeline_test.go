@@ -52,7 +52,7 @@ func TestTimelineByteIdenticalAcrossFastPath(t *testing.T) {
 }
 
 // Repeating an identical run must reproduce the identical dump — the
-// determinism the regression gate's config hashing assumes.
+// determinism streamd's config-hash result cache assumes.
 func TestTimelineDeterministicAcrossRuns(t *testing.T) {
 	a := sampleRun(t, "QUICKSTART")
 	b := sampleRun(t, "QUICKSTART")

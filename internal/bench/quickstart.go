@@ -10,8 +10,8 @@ import (
 
 // Quickstart runs the documentation's worked example (the QUICKSTART
 // micro-benchmark): small, fast and representative, it is the workload
-// the README's -ledger/-compare walkthrough, the regression-gate smoke
-// in scripts/check.sh and the streamtrace golden test all use. It lives
+// the run-ledger and what-if smokes in scripts/check.sh and the
+// streamtrace golden test use. It lives
 // outside Experiments() so `-exp all` keeps reproducing exactly the
 // paper's nine figures, byte-for-byte.
 func Quickstart(w io.Writer, quick bool) error {
@@ -27,9 +27,8 @@ func Quickstart(w io.Writer, quick bool) error {
 	ecfg := rowExec("quickstart")
 	ecfg.Trace = tr
 	// No explicit Observer: the machine inherits sim.SetDefaultObserver,
-	// so measured mode (-ledger/-compare) sees this experiment's
-	// metrics — ledger rows must carry sim.*, coverage.* and bw.* for
-	// the regression gate's metric gates to have anything to compare.
+	// so streambench -ledger records this experiment's sim.* and bw.*
+	// metrics in its ledger row.
 	res, err := micro.RunQuickstart(micro.Params{N: n, Comp: 1, Seed: 1}, ecfg)
 	if err != nil {
 		return err

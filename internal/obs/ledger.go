@@ -11,12 +11,12 @@ import (
 // ran, under which configuration and commit, how long it took in
 // wall-clock and simulated cycles, and what the metrics and recovery
 // machinery recorded — so performance history accumulates across
-// sessions in a greppable, diffable file that the regression gate
-// (regress.go) can compare against.
+// sessions in a greppable, diffable file that the trend report
+// (trend.go) rolls up.
 
 // LedgerSchema is the current entry schema version. Readers accept any
-// version in [LedgerMinSchema, LedgerSchema] — older baselines stay
-// comparable — and writers always stamp the current version. Bump it
+// version in [LedgerMinSchema, LedgerSchema] — older histories stay
+// readable — and writers always stamp the current version. Bump it
 // when a field changes meaning.
 //
 // History:
@@ -24,9 +24,7 @@ import (
 //	v1: initial schema.
 //	v2: Metrics may carry the coverage profiler's flattened keys
 //	    (coverage.*, bw.*) alongside the existing exec.*/sim.* ones.
-//	    Purely additive — v1 entries remain valid v2 inputs, and the
-//	    regression gate's metric checks skip entries (either side)
-//	    that lack a gated key.
+//	    Purely additive — v1 entries remain valid v2 inputs.
 //
 // Entries written before the simulator had a single memory model also
 // carry "fast_path" and coverage.fastpath_pct/coverage.bail.* metrics;
@@ -62,8 +60,8 @@ type LedgerEntry struct {
 	Extra  map[string]string `json:"extra,omitempty"`
 }
 
-// Validate checks the entry satisfies the schema invariants the gate
-// and history tooling rely on.
+// Validate checks the entry satisfies the schema invariants the
+// history tooling relies on.
 func (e LedgerEntry) Validate() error {
 	if e.Schema < LedgerMinSchema || e.Schema > LedgerSchema {
 		return fmt.Errorf("obs: ledger entry schema %d, want %d..%d", e.Schema, LedgerMinSchema, LedgerSchema)

@@ -87,7 +87,7 @@ func TestLedgerReadsFastPathEraRows(t *testing.T) {
 	if len(got) != 2 || got[0].Metrics["coverage.fastpath_pct"] != 86.06 {
 		t.Fatalf("rows = %+v", got)
 	}
-	trend := TrendReport(got, DefaultTrendOptions())
+	trend := TrendReport(got)
 	if len(trend) != 1 || trend[0].Runs != 2 {
 		t.Fatalf("trend = %+v", trend)
 	}

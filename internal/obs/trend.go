@@ -10,14 +10,11 @@ import (
 // This file implements historical trend rollups over a run ledger (or
 // a BENCH_history file — same JSONL schema): per-experiment medians
 // over the whole history for the headline series, with the latest run
-// flagged when it sits outside the history's own noise band. The noise
-// model is the one the regression gate already trusts (regress.go):
-// robust centre via median, robust spread via MAD, and a relative
-// floor so near-zero-variance series don't flag on measurement jitter.
-// Where the gate compares one candidate ledger against one baseline,
-// the trend report asks the longitudinal question — "is the newest run
-// an outlier against everything we've ever recorded?" — which is what
-// streamtrace -trend prints.
+// flagged when it sits outside the history's own noise band — "is the
+// newest run an outlier against everything we've ever recorded?",
+// which is what streamtrace -trend prints. The noise model is robust:
+// centre via median, spread via MAD, and a relative floor so
+// near-zero-variance series don't flag on measurement jitter.
 
 // Trend series labels, in render order; both come from the entry
 // itself. Metrics that older entries carry (coverage.fastpath_pct from
@@ -29,24 +26,41 @@ const (
 
 var trendSeriesOrder = [...]string{trendWall, trendCycles}
 
-// TrendOptions tunes the anomaly flagging.
-type TrendOptions struct {
-	// MADFactor scales the MAD band: |latest-median| > MADFactor·MAD
-	// flags, subject to the relative floor.
-	MADFactor float64
-	// MinRelative is the relative floor: deviations under
-	// MinRelative·median never flag, however tight the MAD.
-	MinRelative float64
-	// MinRuns is the fewest runs a series needs before flagging; below
-	// it there is no history to define "normal".
-	MinRuns int
+// The anomaly band: the latest run flags when it deviates from the
+// median by more than max(trendMinRelative·median, trendMADFactor·MAD),
+// and only once a series has trendMinRuns runs of history to define
+// "normal".
+const (
+	trendMADFactor   = 4
+	trendMinRelative = 0.10
+	trendMinRuns     = 4
+)
+
+// median returns the middle of xs (mean of the middle two when even).
+// xs is sorted in place.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// DefaultTrendOptions mirrors the regression gate's noise model
-// (GateOptions): MAD factor 4 over a 10% relative floor, and at least
-// 4 runs of history.
-func DefaultTrendOptions() TrendOptions {
-	return TrendOptions{MADFactor: 4, MinRelative: 0.10, MinRuns: 4}
+// mad returns the median absolute deviation of xs about m, scaled by
+// 1.4826 so it estimates a standard deviation under normal noise.
+func mad(xs []float64, m float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	devs := make([]float64, len(xs))
+	for i, x := range xs {
+		devs[i] = math.Abs(x - m)
+	}
+	return 1.4826 * median(devs)
 }
 
 // TrendSeries is one metric's history within one experiment.
@@ -56,7 +70,7 @@ type TrendSeries struct {
 	// Runs is how many entries carried this series.
 	Runs int `json:"runs"`
 	// Median and MAD summarise the full history (MAD already scaled to
-	// σ-equivalent units, see regress.go).
+	// σ-equivalent units, see mad).
 	Median float64 `json:"median"`
 	MAD    float64 `json:"mad"`
 	// Latest is the newest entry's value.
@@ -96,12 +110,9 @@ func trendValue(e *LedgerEntry, label string) (float64, bool) {
 // TrendReport rolls entries (oldest first, as ReadJSONL returns them)
 // up into one row per experiment, sorted by experiment name. The
 // newest run of each series is compared against the history's median ±
-// max(MinRelative·median, MADFactor·MAD); outside that band it is
-// flagged with its direction.
-func TrendReport(entries []LedgerEntry, opt TrendOptions) []TrendRow {
-	if opt.MADFactor == 0 && opt.MinRelative == 0 && opt.MinRuns == 0 {
-		opt = DefaultTrendOptions()
-	}
+// max(10%·median, 4·MAD); outside that band, and with at least 4 runs
+// of history, it is flagged with its direction.
+func TrendReport(entries []LedgerEntry) []TrendRow {
 	byExp := map[string][]*LedgerEntry{}
 	for i := range entries {
 		e := &entries[i]
@@ -145,8 +156,8 @@ func TrendReport(entries []LedgerEntry, opt TrendOptions) []TrendRow {
 			if m != 0 {
 				s.Ratio = s.Latest / m
 			}
-			if len(xs) >= opt.MinRuns {
-				band := math.Max(opt.MinRelative*math.Abs(m), opt.MADFactor*s.MAD)
+			if len(xs) >= trendMinRuns {
+				band := math.Max(trendMinRelative*math.Abs(m), trendMADFactor*s.MAD)
 				if dev := s.Latest - m; math.Abs(dev) > band {
 					s.Anomalous = true
 					row.Anomalous = true

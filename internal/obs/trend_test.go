@@ -25,7 +25,7 @@ func TestTrendAnomalyHigh(t *testing.T) {
 	for _, w := range wall {
 		entries = append(entries, trendEntry("fig9", w, 50, 80))
 	}
-	rows := TrendReport(entries, DefaultTrendOptions())
+	rows := TrendReport(entries)
 	if len(rows) != 1 || rows[0].Experiment != "fig9" || rows[0].Runs != 10 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -55,7 +55,7 @@ func TestTrendAnomalyLow(t *testing.T) {
 	for _, c := range []float64{50, 51, 49, 50, 50, 10} {
 		entries = append(entries, trendEntry("fem", 100, c, 80))
 	}
-	rows := TrendReport(entries, DefaultTrendOptions())
+	rows := TrendReport(entries)
 	var found bool
 	for _, s := range rows[0].Series {
 		if s.Label == "sim_cycles_per_sec" {
@@ -78,10 +78,10 @@ func TestTrendThinHistoryUnflagged(t *testing.T) {
 		trendEntry("cdp", 100, 50, 80),
 		trendEntry("cdp", 900, 50, 80),
 	}
-	rows := TrendReport(entries, DefaultTrendOptions())
+	rows := TrendReport(entries)
 	if rows[0].Anomalous {
 		t.Errorf("flagged with only %d runs (MinRuns %d): %+v",
-			rows[0].Runs, DefaultTrendOptions().MinRuns, rows[0].Series)
+			rows[0].Runs, trendMinRuns, rows[0].Series)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestTrendRelativeFloor(t *testing.T) {
 		entries = append(entries, trendEntry("micro", 1000, 50, 80))
 	}
 	entries = append(entries, trendEntry("micro", 1050, 50, 80)) // +5% < 10% floor
-	rows := TrendReport(entries, DefaultTrendOptions())
+	rows := TrendReport(entries)
 	for _, s := range rows[0].Series {
 		if s.Label == "wall_ns" && s.Anomalous {
 			t.Errorf("5%% jitter flagged despite 10%% relative floor: %+v", s)
@@ -108,7 +108,7 @@ func TestTrendMissingSeriesAndOrder(t *testing.T) {
 		{Schema: LedgerSchema, Experiment: "zeta", WallNs: 10},
 		{Schema: LedgerSchema, Experiment: "alpha", WallNs: 20},
 	}
-	rows := TrendReport(entries, DefaultTrendOptions())
+	rows := TrendReport(entries)
 	if len(rows) != 2 || rows[0].Experiment != "alpha" || rows[1].Experiment != "zeta" {
 		t.Fatalf("rows out of order: %+v", rows)
 	}
@@ -125,7 +125,7 @@ func TestRenderTrend(t *testing.T) {
 		entries = append(entries, trendEntry("fig11", w, 50, 80))
 	}
 	var buf bytes.Buffer
-	RenderTrend(&buf, TrendReport(entries, DefaultTrendOptions()))
+	RenderTrend(&buf, TrendReport(entries))
 	out := buf.String()
 	for _, want := range []string{"fig11", "wall_ns", "ANOMALY(high)"} {
 		if !strings.Contains(out, want) {
@@ -137,5 +137,17 @@ func TestRenderTrend(t *testing.T) {
 	RenderTrend(&buf, nil)
 	if !strings.Contains(buf.String(), "no entries") {
 		t.Errorf("empty render = %q", buf.String())
+	}
+}
+
+func TestMedianAndMAD(t *testing.T) {
+	if m := median([]float64{3, 1, 2}); m != 2 {
+		t.Errorf("median odd = %v", m)
+	}
+	if m := median([]float64{4, 1, 2, 3}); m != 2.5 {
+		t.Errorf("median even = %v", m)
+	}
+	if m := mad([]float64{1, 1, 1}, 1); m != 0 {
+		t.Errorf("mad of constant = %v", m)
 	}
 }

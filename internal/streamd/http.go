@@ -15,7 +15,9 @@ import (
 
 // Handler returns the server's HTTP API:
 //
-//	POST /jobs                submit a JobSpec; 202 + JobStatus,
+//	POST /jobs                submit a JobSpec; 202 + the JobStatus at
+//	                          admission (state always queued, even if
+//	                          a worker has picked the job up since),
 //	                          400 (bad spec, message names the field),
 //	                          429 + Retry-After (queue full),
 //	                          503 (draining)
@@ -233,13 +235,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorBody{Error: "streamd: bad job JSON: " + err.Error()})
 		return
 	}
-	job, err := s.Submit(spec)
+	job, admitted, err := s.submit(spec)
 	switch {
 	case err == nil:
 		if n, ok := w.(jobNoter); ok {
 			n.noteJob(job.ID)
 		}
-		writeJSON(w, http.StatusAccepted, job.Status())
+		writeJSON(w, http.StatusAccepted, admitted)
 	case errors.Is(err, ErrFull):
 		// Admission control: the bounded job queue is full. Retry-After
 		// is the clients' backpressure signal.

@@ -220,9 +220,17 @@ func New(opts Options) (*Server, error) {
 // error (client's fault, HTTP 400), ErrFull (saturated, HTTP 429) or
 // ErrDraining (shutting down, HTTP 503).
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
+	job, _, err := s.submit(spec)
+	return job, err
+}
+
+// submit is Submit that also returns the job's status at admission,
+// snapshotted before the queue send: once the job is in the channel an
+// idle worker may already have moved it past queued.
+func (s *Server) submit(spec JobSpec) (*Job, JobStatus, error) {
 	spec.normalize()
 	if err := spec.Validate(s.opts.MaxN); err != nil {
-		return nil, &ValidationError{Err: err}
+		return nil, JobStatus{}, &ValidationError{Err: err}
 	}
 	canonical := spec.Canonical(s.opts.BaseFaultSeed)
 	key := obs.Hash(canonical)
@@ -233,7 +241,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.reg.Counter("streamd.jobs_rejected_draining").Inc()
 		s.log.Warn("job", "event", "reject", "reason", "draining",
 			"app", spec.App, "config_hash", key)
-		return nil, ErrDraining
+		return nil, JobStatus{}, ErrDraining
 	}
 	// The ID is burned whether or not admission succeeds: a rejected
 	// submission still gets a reject event under its own ID, and IDs
@@ -246,6 +254,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// the job is in the channel a worker can claim it, and its admit
 	// event must sort after submit.
 	s.events.append(Event{Job: job.ID, Type: EventSubmit, State: StateQueued, App: spec.App, Key: key})
+	admitted := job.Status()
 	select {
 	case s.queue <- job:
 	default:
@@ -254,7 +263,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.events.append(Event{Job: job.ID, Type: EventReject, App: spec.App, Key: key})
 		s.log.Warn("job", "job_id", job.ID, "event", "reject", "reason", "full",
 			"app", spec.App, "config_hash", key)
-		return nil, ErrFull
+		return nil, JobStatus{}, ErrFull
 	}
 	s.jobs[job.ID] = job
 	s.reg.Counter("streamd.jobs_accepted").Inc()
@@ -262,7 +271,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		"app", spec.App, "config_hash", key)
 	s.stateCounts[StateQueued]++
 	s.reg.Gauge("streamd.jobs_by_state.queued").Set(float64(s.stateCounts[StateQueued]))
-	return job, nil
+	return job, admitted, nil
 }
 
 // onTransition is the job state-machine observer (wired as Job.onState

@@ -15,12 +15,12 @@
 #
 # A full run also appends one run-ledger line per benchmark (the JSONL
 # schema of internal/obs/ledger.go, keyed by `git describe`) to
-# BENCH_history.jsonl, so wall-clock history accumulates across commits
-# and `streambench -compare`/`-validate` can consume it. Each history
-# line carries the simulator process's runtime.heap_inuse_bytes and
-# runtime.gc_pause_p99_ns (from the benchmarks' runtime collector
-# sample), so `streamtrace -trend` can flag memory or GC regressions
-# alongside wall-clock ones. Smoke runs leave the history untouched.
+# BENCH_history.jsonl, so wall-clock history accumulates across commits:
+# `streambench -validate` checks it and `streamtrace -trend` flags a
+# newest run that sits outside its history's noise band. Each history
+# line also carries the simulator process's runtime.heap_inuse_bytes
+# and runtime.gc_pause_p99_ns (from the benchmarks' runtime collector
+# sample). Smoke runs leave the history untouched.
 #
 # Usage:
 #   scripts/bench.sh          # the measured set (a few minutes)
